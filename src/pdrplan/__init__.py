@@ -1,16 +1,16 @@
 """Partition, schedule, and floorplan planner for partially reconfigurable FPGAs."""
 
-from .chip import (ChipModel, ColumnKind, Rect, ResourceVector,
-                   builtin_xc7vx485t, load_chip, parse_chip)
+from .chip import (ChipModel, Rect, ResourceVector, builtin_xc7vx485t,
+                   load_chip, parse_chip)
 from .errors import GraphCycleError, InfeasibleModuleError, InputFileError
 from .taskgraph import (BenchSpec, Edge, TaskGraph, TaskModule,
                         assign_conf_times, generate, load_graph, parse_graph,
                         preset_spec)
 from .shapes import (Shape, ShapeGenConfig, ShapeList, generate_all,
-                     initial_width, min_height_for_width, pick_initial)
+                     initial_width, min_height_for_width)
 from .pst import (CostBreakdown, CostWeights, Placement, PST, ScheduleResult,
                   Solution, comm_cost, evaluate, hetero_cost, is_feasible,
-                  pack, schedule, total_cost, validate)
+                  pack, schedule, validate)
 from .explore import (Candidate, SAConfig, anneal, enumerate_insertions,
                       initial_solution)
 from .ilp import (ILPModel, ShapeSelection, SolveResult, build_model,

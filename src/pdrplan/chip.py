@@ -11,16 +11,9 @@ vertical position.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 from .errors import InputFileError
-
-
-class ColumnKind(Enum):
-    CLB = "CLB"
-    BRAM = "BRAM"
-    DSP = "DSP"
 
 
 @dataclass(frozen=True)
@@ -43,11 +36,6 @@ class ResourceVector:
         """True if every component is >= the corresponding one of `other`."""
         return (self.clb >= other.clb and self.bram >= other.bram
                 and self.dsp >= other.dsp)
-
-    def min_with(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(min(self.clb, other.clb),
-                              min(self.bram, other.bram),
-                              min(self.dsp, other.dsp))
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.clb, self.bram, self.dsp)
@@ -132,16 +120,6 @@ class ChipModel:
 
     # ------------------------------------------------------------------
     # queries
-
-    def column_kind(self, x: int) -> ColumnKind:
-        """Kind of column `x` (1-indexed)."""
-        if not 1 <= x <= self.width:
-            raise ValueError(f"column {x} outside [1, {self.width}]")
-        if x in self.bram_cols:
-            return ColumnKind.BRAM
-        if x in self.dsp_cols:
-            return ColumnKind.DSP
-        return ColumnKind.CLB
 
     def macro_tiles(self, h: int) -> int:
         """Macro tiles (BRAM/DSP) in an h-row quantum-aligned span."""

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .chip import builtin_xc7vx485t, load_chip
 from .errors import InfeasibleModuleError, InputFileError
-from .explore import SAConfig, anneal
+from .explore import SAConfig, anneal, trace_csv
 from .ilp import build_model, export_lp, solve
 from .ilp import apply as ilp_apply
 from .pst import CostWeights
@@ -80,6 +80,22 @@ def _shape_cfg(args) -> ShapeGenConfig:
 def _weights(args) -> CostWeights:
     return CostWeights(alpha=args.alpha, beta=args.beta,
                        gamma_comm=args.gamma_comm, lambda_=args.lambda_)
+
+
+def _load_instance(args):
+    """(chip, graph, shape lists, weights, solution) named by the flags.
+
+    The graph comes back with its configuration times resolved.  Weights
+    and solution are None unless the verb reads a --solution file.
+    """
+    chip = resolve_chip(args.chip)
+    g, lists = prepare_instance(load_graph(args.graph), chip,
+                                _shape_cfg(args), args.cfg_rate)
+    weights = sol = None
+    if getattr(args, "solution", None) is not None:
+        weights = _weights(args).resolve(g, chip)
+        sol = load_solution(args.solution, g, chip, weights)
+    return chip, g, lists, weights, sol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,9 +218,7 @@ def cmd_gen_bench(args) -> int:
 
 
 def cmd_shapes(args) -> int:
-    chip = resolve_chip(args.chip)
-    g = load_graph(args.graph)
-    _, lists = prepare_instance(g, chip, _shape_cfg(args), args.cfg_rate)
+    _, g, lists, _, _ = _load_instance(args)
     for m in g.modules:
         shapes = " ".join(f"({s.w},{s.h})" for s in lists[m.id].shapes)
         print(f"module {m.id}: {shapes}")
@@ -217,19 +231,14 @@ def _sa_config(args) -> SAConfig:
 
 
 def cmd_explore(args) -> int:
-    chip = resolve_chip(args.chip)
-    g = load_graph(args.graph)
-    g, lists = prepare_instance(g, chip, _shape_cfg(args), args.cfg_rate)
+    chip, g, lists, _, _ = _load_instance(args)
     sol, trace = anneal(g, lists, chip, _sa_config(args))
     out_dir = Path(args.out_dir) if args.out_dir else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     sol_path = out_dir / "solution.txt"
     sol_path.write_text(write_solution(sol), encoding="utf-8")
     trace_path = out_dir / "trace.csv"
-    rows = ["restart,iteration,temperature,current_cost,best_cost"]
-    rows += [f"{t.restart},{t.iteration},{t.temperature!r},{t.current_cost!r},"
-             f"{t.best_cost!r}" for t in trace]
-    trace_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    trace_path.write_text(trace_csv(trace), encoding="utf-8")
     print(f"best total cost {sol.costs.total:.6f} "
           f"(makespan {sol.costs.makespan:.3f} ms, "
           f"extents {sol.costs.x_max}x{sol.costs.y_max}, "
@@ -239,11 +248,7 @@ def cmd_explore(args) -> int:
 
 
 def cmd_postopt(args) -> int:
-    chip = resolve_chip(args.chip)
-    g = load_graph(args.graph)
-    g, lists = prepare_instance(g, chip, _shape_cfg(args), args.cfg_rate)
-    weights = _weights(args).resolve(g, chip)
-    sol = load_solution(args.solution, g, chip, weights)
+    chip, g, lists, weights, sol = _load_instance(args)
     model = build_model(sol.pst, lists, chip)
     if args.export_lp:
         Path(args.export_lp).write_text(export_lp(model), encoding="utf-8")
@@ -277,11 +282,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_render(args) -> int:
-    chip = resolve_chip(args.chip)
-    g = load_graph(args.graph)
-    g, _ = prepare_instance(g, chip, _shape_cfg(args), args.cfg_rate)
-    weights = _weights(args).resolve(g, chip)
-    sol = load_solution(args.solution, g, chip, weights)
+    chip, _, _, _, sol = _load_instance(args)
     out_dir = Path(args.out_dir) if args.out_dir else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, svg in render_svg(sol, chip):
@@ -291,11 +292,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    chip = resolve_chip(args.chip)
-    g = load_graph(args.graph)
-    g, _ = prepare_instance(g, chip, _shape_cfg(args), args.cfg_rate)
-    weights = _weights(args).resolve(g, chip)
-    sol = load_solution(args.solution, g, chip, weights)
+    chip, _, _, _, sol = _load_instance(args)
     c = sol.costs
     print(f"makespan: {c.makespan:.3f} ms")
     print(f"total cost: {c.total:.6f}")

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 from .chip import ChipModel
 from .errors import InfeasibleModuleError
-from .pst import (CostWeights, PST, Solution, evaluate, pack, schedule,
-                  total_cost)
+from .pst import CostWeights, PST, evaluate, pack, schedule, validate
 from .shapes import Shape, ShapeList
 from .taskgraph import TaskGraph
 
@@ -33,7 +32,8 @@ class SAConfig:
     None values are resolved per instance: the initial temperature from
     100 probe moves (median uphill cost accepted with probability 0.8),
     iterations_per_temperature as max(16, 2 x modules), min_temperature
-    as 1e-3 x initial.
+    as 1e-3 x initial.  time_limit bounds the probe moves as well as the
+    annealing proper.
     """
 
     initial_temperature: float | None = None
@@ -47,7 +47,6 @@ class SAConfig:
     max_candidates: int = 96
     probe_moves: int = 100
     time_limit: float | None = None
-    exact_rough: bool = False
     validate_every_step: bool = False
 
     def __post_init__(self):
@@ -83,6 +82,14 @@ class TraceRow:
     temperature: float
     current_cost: float
     best_cost: float
+
+
+def trace_csv(trace) -> str:
+    """Trace rows as CSV text with a header line; byte-stable."""
+    rows = ["restart,iteration,temperature,current_cost,best_cost"]
+    rows += [f"{t.restart},{t.iteration},{t.temperature!r},{t.current_cost!r},"
+             f"{t.best_cost!r}" for t in trace]
+    return "\n".join(rows) + "\n"
 
 
 def initial_solution(g: TaskGraph, shape_lists: dict, chip: ChipModel) -> PST:
@@ -263,6 +270,7 @@ class RoughEvaluator:
                         and region_qs[a][1] < region_qs[b][0]):
                     self.v_edges.append((a, b))
         self._extent_cache: dict = {}
+        self._others: dict = {}
 
     def _extent_coeffs(self, r, edges, sizes, order):
         """(A, B) such that the extent as a function of r's size is max(A, B + size).
@@ -311,6 +319,14 @@ class RoughEvaluator:
             self._extent_cache[r] = (ax, bx, ay, by)
         return self._extent_cache[r]
 
+    def _other_layers(self, key):
+        """Largest width and height among the other layers of key's region."""
+        if key not in self._others:
+            keys = [k for k in self.pst.region_layers[key[0]] if k != key]
+            self._others[key] = (max((self.layer_w[k] for k in keys), default=0),
+                                 max((self.layer_h[k] for k in keys), default=0))
+        return self._others[key]
+
     def _sched_estimate(self, cand: Candidate) -> float:
         rs = list(self.pst.rs)
         conf = dict(self.conf_sum)
@@ -354,10 +370,7 @@ class RoughEvaluator:
             side = (lw + shape.w, max(lh, shape.h))
             stack = (max(lw, shape.w), lh + shape.h)
             ew, eh = min(side, stack, key=lambda t: t[0] * t[1])
-            other_w = max((self.layer_w[k] for k in self.pst.region_layers[region]
-                           if k != cand.layer), default=0)
-            other_h = max((self.layer_h[k] for k in self.pst.region_layers[region]
-                           if k != cand.layer), default=0)
+            other_w, other_h = self._other_layers(cand.layer)
             rw = max(other_w, ew)
             rh = max(other_h, eh)
         ax, bx, ay, by = self._region_coeffs(region)
@@ -408,7 +421,7 @@ def accurate_evaluate(pst_without: PST, m: str, cands: list, shapes: dict,
         new_pst = apply_candidate(pst_without, m, cand)
         new_shapes = dict(shapes)
         new_shapes[m] = cand.shape
-        cost = total_cost(new_pst, new_shapes, g, chip, weights)
+        cost = evaluate(new_pst, new_shapes, g, chip, weights).costs
         if best is None or cost.total < best[2].total:
             best = (new_pst, new_shapes, cost, cand)
     return best
@@ -440,9 +453,12 @@ class _Chain:
         self.ids = list(g.module_ids)
         self.pst = initial_solution(g, shape_lists, chip)
         self.shapes = {m: shape_lists[m].min_area_shape() for m in self.ids}
-        self.cost = total_cost(self.pst, self.shapes, g, chip, weights)
+        self.cost = evaluate(self.pst, self.shapes, g, chip, weights).costs
         self.best = (self.pst, self.shapes, self.cost)
         self.best_feasible = self.best if self.cost.feasible else None
+
+    def _past_deadline(self):
+        return self.deadline is not None and time.monotonic() > self.deadline
 
     def _track(self, pst, shapes, cost):
         if cost.total < self.best[2].total:
@@ -461,8 +477,7 @@ class _Chain:
         rough = RoughEvaluator(without, self.shapes, self.g, self.chip,
                                self.w, m)
         for cand in cands:
-            cand.shape, cand.score = rough.evaluate(
-                cand, self.lists[m], exact=self.cfg.exact_rough)
+            cand.shape, cand.score = rough.evaluate(cand, self.lists[m])
         cands.sort(key=lambda c: c.score)
         return m, without, cands[:self.cfg.rough_keep_k]
 
@@ -471,6 +486,8 @@ class _Chain:
             return self.cfg.initial_temperature
         deltas = []
         for _ in range(self.cfg.probe_moves):
+            if self._past_deadline():
+                break
             m, without, top = self._random_move()
             cand = self.rng.choice(top)
             _, _, cost, _ = accurate_evaluate(without, m, [cand], self.shapes,
@@ -493,13 +510,12 @@ class _Chain:
         iteration = 0
         while t > t_min:
             for _ in range(iters):
-                if self.deadline is not None and time.monotonic() > self.deadline:
+                if self._past_deadline():
                     return
                 m, without, top = self._random_move()
                 new_pst, new_shapes, cost, _ = accurate_evaluate(
                     without, m, top, self.shapes, self.g, self.chip, self.w)
                 if self.cfg.validate_every_step:
-                    from .pst import validate
                     problems = validate(new_pst, self.g)
                     if problems:
                         raise AssertionError(f"invalid move: {problems}")

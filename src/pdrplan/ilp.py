@@ -7,15 +7,16 @@ linear expressions of the selectors, sequence-pair relations turn into
 pairwise coordinate constraints, and the occupied extents are maximized
 away from the chip boundary: maximize (Width - Xmax) + (Height - Ymax).
 
-The bundled solver branches on the selection rows and bounds extents via
+The model is kept in structured form only: shape dimensions per module
+plus the sequence-pair relations (Murata et al., IEEE TCAD 1996).  The
+bundled solver branches on the selection rows and bounds extents via
 longest paths over per-module minimum remaining widths/heights, which
-never overestimate any completion.  export_lp writes the very same model
-in CPLEX LP text form for use with external solvers.
+never overestimate any completion.  export_lp spells the same model out
+row by row in CPLEX LP text form for use with external solvers.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -30,28 +31,13 @@ class ShapeSelection:
 
     choices: dict  # module id -> index into its shape list
 
-    def matrix(self, model: "ILPModel") -> list:
-        """Dense 0/1 rows in model module order (ragged by list length)."""
-        return [[1 if j == self.choices[m] else 0
-                 for j in range(len(model.shape_dims[m]))]
-                for m in model.modules]
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    name: str
-    coeffs: tuple  # ((var, coefficient), ...)
-    sense: str  # '<=', '>=' or '='
-    rhs: float
-
 
 @dataclass(frozen=True)
 class ILPModel:
-    """Shape-reselection program, both structured and in matrix form.
+    """Shape-reselection program for a fixed PST.
 
-    The structured fields (pairs, dims) drive the bundled solver; the
-    generic constraint list is what export_lp writes and mirrors the
-    structured form one to one.
+    These fields determine every row of the program: the bundled solver
+    reads them directly and export_lp derives the LP rows from them.
     """
 
     modules: tuple  # module ids in sequence order
@@ -60,10 +46,6 @@ class ILPModel:
     v_pairs: tuple  # (a, b): y_b >= y_a + h_a
     width: int
     height: int
-    constraints: tuple
-    objective: tuple  # ((var, coefficient), ...), maximized
-    objective_const: float
-    binaries: tuple
 
 
 @dataclass(frozen=True)
@@ -110,40 +92,6 @@ def build_model(pst: PST, shape_lists: dict, chip: ChipModel) -> ILPModel:
             raise ValueError(f"module {m} has no candidate shapes")
         dims[m] = tuple((s.w, s.h) for s in sl.shapes)
     h_pairs, v_pairs = sequence_pair_relations(pst)
-    index = {m: i + 1 for i, m in enumerate(modules)}
-
-    cons = []
-    binaries = []
-    for m in modules:
-        i = index[m]
-        row = [(f"ms_{i}_{j + 1}", 1) for j in range(len(dims[m]))]
-        binaries.extend(name for name, _ in row)
-        cons.append(LinearConstraint(f"onehot_{i}", tuple(row), "=", 1))
-        wdef = [(f"w_{i}", 1)] + [(f"ms_{i}_{j + 1}", -w)
-                                  for j, (w, _) in enumerate(dims[m])]
-        cons.append(LinearConstraint(f"wdef_{i}", tuple(wdef), "=", 0))
-        hdef = [(f"h_{i}", 1)] + [(f"ms_{i}_{j + 1}", -h)
-                                  for j, (_, h) in enumerate(dims[m])]
-        cons.append(LinearConstraint(f"hdef_{i}", tuple(hdef), "=", 0))
-    for a, b in h_pairs:
-        ia, ib = index[a], index[b]
-        cons.append(LinearConstraint(
-            f"hpos_{ia}_{ib}",
-            ((f"x_{ib}", 1), (f"x_{ia}", -1), (f"w_{ia}", -1)), ">=", 0))
-    for a, b in v_pairs:
-        ia, ib = index[a], index[b]
-        cons.append(LinearConstraint(
-            f"vpos_{ia}_{ib}",
-            ((f"y_{ib}", 1), (f"y_{ia}", -1), (f"h_{ia}", -1)), ">=", 0))
-    for m in modules:
-        i = index[m]
-        cons.append(LinearConstraint(
-            f"xext_{i}", (("Xmax", 1), (f"x_{i}", -1), (f"w_{i}", -1)), ">=", 0))
-        cons.append(LinearConstraint(
-            f"yext_{i}", (("Ymax", 1), (f"y_{i}", -1), (f"h_{i}", -1)), ">=", 0))
-    cons.append(LinearConstraint("bound_x", (("Xmax", 1),), "<=", chip.width))
-    cons.append(LinearConstraint("bound_y", (("Ymax", 1),), "<=", chip.height))
-
     return ILPModel(
         modules=modules,
         shape_dims=dims,
@@ -151,10 +99,6 @@ def build_model(pst: PST, shape_lists: dict, chip: ChipModel) -> ILPModel:
         v_pairs=tuple(v_pairs),
         width=chip.width,
         height=chip.height,
-        constraints=tuple(cons),
-        objective=(("Xmax", -1), ("Ymax", -1)),
-        objective_const=float(chip.width + chip.height),
-        binaries=tuple(binaries),
     )
 
 
@@ -347,31 +291,6 @@ def solve(model: ILPModel, time_limit: float | None = None) -> SolveResult:
                        nodes=search.nodes, wall_time=wall)
 
 
-def brute_force_objective(model: ILPModel):
-    """Exhaustive reference: best (objective, selection) or None.
-
-    Only sensible for a handful of modules; tests use it as the oracle.
-    """
-    search = _Search(model, None)
-    best = None
-    for combo in itertools.product(*(range(len(d)) for d in search.dims)):
-        w = [search.dims[i][combo[i]][0] for i in range(search.n)]
-        h = [search.dims[i][combo[i]][1] for i in range(search.n)]
-        xext, _, _ = search._extent(search.h_order, search.h_preds, w)
-        yext, _, _ = search._extent(search.v_order, search.v_preds, h)
-        if xext > model.width or yext > model.height:
-            continue
-        obj = (model.width - xext) + (model.height - yext)
-        area = sum(wi * hi for wi, hi in zip(w, h))
-        if best is None or (obj, -area) > best[0]:
-            best = ((obj, -area), combo)
-    if best is None:
-        return None
-    (obj, _), combo = best
-    return float(obj), ShapeSelection(
-        {m: combo[i] for i, m in enumerate(model.modules)})
-
-
 # ----------------------------------------------------------------------
 # LP export
 
@@ -393,21 +312,45 @@ def _expr(coeffs) -> str:
 
 
 def export_lp(model: ILPModel) -> str:
-    """CPLEX LP text of the model; byte-stable for a fixed input."""
-    lines = ["\\ shape reselection model", "Maximize"]
-    obj = _expr(model.objective)
-    if model.objective_const:
-        obj += f" + {_fmt(model.objective_const)}"
-    lines.append(f" obj: {obj}")
-    lines.append("Subject To")
-    sense_map = {"<=": "<=", ">=": ">=", "=": "="}
-    for con in model.constraints:
-        lines.append(f" {con.name}: {_expr(con.coeffs)} "
-                     f"{sense_map[con.sense]} {_fmt(con.rhs)}")
-    lines.append("Bounds")
-    lines.append("Binary")
-    lines.append(" " + " ".join(model.binaries))
-    lines.append("End")
+    """CPLEX LP text of the model; byte-stable for a fixed input.
+
+    The i-th module in model order gets selectors ms_i_j (one per shape),
+    its dimensions w_i and h_i, and its corner x_i and y_i; Xmax and Ymax
+    are the occupied extents.
+    """
+    index = {m: i + 1 for i, m in enumerate(model.modules)}
+    lines = ["\\ shape reselection model", "Maximize",
+             f" obj: - Xmax - Ymax + {_fmt(model.width + model.height)}",
+             "Subject To"]
+
+    def row(name, coeffs, sense, rhs):
+        lines.append(f" {name}: {_expr(coeffs)} {sense} {_fmt(rhs)}")
+
+    binaries = []
+    for m in model.modules:
+        i = index[m]
+        sel = [f"ms_{i}_{j + 1}" for j in range(len(model.shape_dims[m]))]
+        binaries += sel
+        dims = model.shape_dims[m]
+        row(f"onehot_{i}", [(v, 1) for v in sel], "=", 1)
+        row(f"wdef_{i}", [(f"w_{i}", 1)]
+            + [(v, -w) for v, (w, _) in zip(sel, dims)], "=", 0)
+        row(f"hdef_{i}", [(f"h_{i}", 1)]
+            + [(v, -h) for v, (_, h) in zip(sel, dims)], "=", 0)
+    for kind, pairs, pos, size in (("hpos", model.h_pairs, "x", "w"),
+                                   ("vpos", model.v_pairs, "y", "h")):
+        for a, b in pairs:
+            ia, ib = index[a], index[b]
+            row(f"{kind}_{ia}_{ib}", [(f"{pos}_{ib}", 1), (f"{pos}_{ia}", -1),
+                                      (f"{size}_{ia}", -1)], ">=", 0)
+    for i in index.values():
+        row(f"xext_{i}", [("Xmax", 1), (f"x_{i}", -1), (f"w_{i}", -1)],
+            ">=", 0)
+        row(f"yext_{i}", [("Ymax", 1), (f"y_{i}", -1), (f"h_{i}", -1)],
+            ">=", 0)
+    row("bound_x", [("Xmax", 1)], "<=", model.width)
+    row("bound_y", [("Ymax", 1)], "<=", model.height)
+    lines += ["Bounds", "Binary", " " + " ".join(binaries), "End"]
     return "\n".join(lines) + "\n"
 
 

@@ -330,7 +330,12 @@ class CostWeights:
                 raise ValueError(f"{name} must be > 0")
 
     def resolve(self, g: TaskGraph, chip: ChipModel) -> "CostWeights":
-        """Fill instance-derived normalizers; idempotent."""
+        """Fill instance-derived normalizers; idempotent.
+
+        Normalizers already set are kept; with all three set this is self.
+        """
+        if None not in (self.area_norm, self.schedule_norm, self.comm_norm):
+            return self
         area = self.area_norm or float(chip.area)
         sched = self.schedule_norm
         if sched is None:
@@ -402,19 +407,6 @@ class CostBreakdown:
     feasible: bool
 
 
-def total_cost(pst: PST, shapes: dict, g: TaskGraph, chip: ChipModel,
-               weights: CostWeights) -> CostBreakdown:
-    """Pack, schedule, and combine the four normalized cost terms.
-
-    The area term carries the boundary-overflow penalty so infeasible
-    floorplans cost strictly more than feasible ones of the same size.
-    """
-    w = weights if weights.area_norm is not None else weights.resolve(g, chip)
-    p = pack(pst, shapes, chip)
-    s = schedule(pst, g)
-    return cost_from_parts(p, s, g, chip, w)
-
-
 def cost_from_parts(p: Placement, s: ScheduleResult, g: TaskGraph,
                     chip: ChipModel, w: CostWeights) -> CostBreakdown:
     """Cost terms for an already packed and scheduled solution."""
@@ -457,8 +449,15 @@ class Solution:
 
 def evaluate(pst: PST, shapes: dict, g: TaskGraph, chip: ChipModel,
              weights: CostWeights) -> Solution:
-    """Materialize a Solution from a PST and a shape assignment."""
-    w = weights if weights.area_norm is not None else weights.resolve(g, chip)
+    """Pack, schedule, and cost a PST under a shape assignment.
+
+    The one evaluation entry point: every full cost in the planner comes
+    from here.  Normalizers missing from the weights are resolved against
+    the instance.  The area term carries the boundary-overflow penalty, so
+    infeasible floorplans cost strictly more than feasible ones of the
+    same size.
+    """
+    w = weights.resolve(g, chip)
     p = pack(pst, shapes, chip)
     s = schedule(pst, g)
     costs = cost_from_parts(p, s, g, chip, w)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .chip import ChipModel
-from .explore import SAConfig, anneal
+from .explore import SAConfig, anneal, trace_csv
 from .ilp import apply as ilp_apply
 from .ilp import build_model, solve
 from .pst import Solution
@@ -195,11 +195,8 @@ def run_pipeline(g: TaskGraph, chip: ChipModel,
         if out_dir is not None:
             (out_dir / f"seed{seed}.solution").write_text(
                 write_solution(sol), encoding="utf-8")
-            trace_lines = ["restart,iteration,temperature,current_cost,best_cost"]
-            trace_lines += [f"{t.restart},{t.iteration},{t.temperature!r},"
-                            f"{t.current_cost!r},{t.best_cost!r}" for t in trace]
             (out_dir / f"seed{seed}.trace.csv").write_text(
-                "\n".join(trace_lines) + "\n", encoding="utf-8")
+                trace_csv(trace), encoding="utf-8")
             if cfg.render:
                 from .render import render_svg
                 for name, svg in render_svg(sol, chip):

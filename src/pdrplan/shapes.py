@@ -48,7 +48,6 @@ class ShapeList:
 class ShapeGenConfig:
     n: int = 10
     gamma_ar: float = 1.5
-    keep_fallback: bool = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -128,10 +127,10 @@ def generate(module: TaskModule, chip: ChipModel,
     Sweeps widths ascending, keeps each width's minimal feasible height,
     admits a shape only if its aspect ratio is within cfg.gamma_ar, drops
     same-height shapes with larger width (the earlier, narrower shape
-    wins), sorts by area, and truncates to cfg.n entries.  With
-    keep_fallback the true minimum-area shape is always retained even
-    when its ratio is out of bounds: exploration anchors on it, and it
-    keeps the list's best area no worse than any fixed-width strategy.
+    wins), sorts by area, and truncates to cfg.n entries.  The true
+    minimum-area shape is always retained, even when its ratio is out of
+    bounds: exploration anchors on it, and it keeps the list's best area
+    no worse than any fixed-width strategy.
     """
     w0 = initial_width(module, chip)
     kept = []
@@ -153,14 +152,9 @@ def generate(module: TaskModule, chip: ChipModel,
         raise InfeasibleModuleError(
             f"module {module.id}: no rectangle satisfies demand "
             f"{module.demand.as_tuple()} at every position")
-    if cfg.keep_fallback:
-        if best_any not in kept:
-            kept = [s for s in kept if s.h != best_any.h]
-            kept.append(best_any)
-    elif not kept:
-        raise InfeasibleModuleError(
-            f"module {module.id}: aspect-ratio bound {cfg.gamma_ar} leaves "
-            f"no candidate shapes")
+    if best_any not in kept:
+        kept = [s for s in kept if s.h != best_any.h]
+        kept.append(best_any)
     kept.sort(key=lambda s: (s.area, s.w))
     return ShapeList(module.id, tuple(kept[:cfg.n]))
 
@@ -169,11 +163,6 @@ def generate_all(g: TaskGraph, chip: ChipModel,
                  cfg: ShapeGenConfig = ShapeGenConfig()) -> dict:
     """Shape lists for every module of the graph, keyed by module id."""
     return {m.id: generate(m, chip, cfg) for m in g.modules}
-
-
-def pick_initial(shape_list: ShapeList) -> Shape:
-    """Starting shape for exploration: the minimum-area candidate."""
-    return shape_list.shapes[0]
 
 
 def min_area_map(shape_lists: dict) -> dict:

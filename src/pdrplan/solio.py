@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .chip import ChipModel
 from .errors import InputFileError
-from .pst import CostWeights, PST, Solution, evaluate
+from .pst import CostWeights, PST, Solution, evaluate, validate
 from .shapes import Shape
 from .taskgraph import TaskGraph
 
@@ -114,11 +114,25 @@ def parse_solution(text: str, source: str = "<solution>"):
 
 def load_solution(path, g: TaskGraph, chip: ChipModel,
                   weights: CostWeights) -> Solution:
-    """Read a solution file and re-evaluate it against graph and chip."""
+    """Read a solution file and re-evaluate it against graph and chip.
+
+    Shapes obey the rules explored ones do: a quantum-aligned height, a
+    fit on the chip, and the module's demand met at every x position.
+    """
     p = Path(path)
     pst, shapes, _ = parse_solution(p.read_text(encoding="utf-8"), source=str(p))
-    from .pst import validate
     problems = validate(pst, g)
     if problems:
         raise InputFileError(f"{p}: invalid solution: {problems[0]}")
+    for m in pst.ps:
+        w, h = shapes[m].w, shapes[m].h
+        if h % chip.quantum:
+            problem = f"height not a multiple of the quantum {chip.quantum}"
+        elif not (1 <= w <= chip.width and 1 <= h <= chip.height):
+            problem = f"does not fit the {chip.width}x{chip.height} chip"
+        elif not chip.min_window_over_x(w, h).covers(g.module(m).demand):
+            problem = "does not cover the module's demand at every x"
+        else:
+            continue
+        raise InputFileError(f"{p}: module {m}: shape {w}x{h} {problem}")
     return evaluate(pst, shapes, g, chip, weights)

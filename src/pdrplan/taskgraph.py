@@ -190,10 +190,6 @@ class TaskGraph:
         return f"TaskGraph({len(self.modules)} modules, {len(self.edges)} edges)"
 
 
-def critical_path_time(g: TaskGraph) -> float:
-    return g.critical_path_time()
-
-
 def assign_conf_times(g: TaskGraph, min_shape_areas, cfg_rate: float) -> TaskGraph:
     """Fill unresolved configuration times as cfg_rate x smallest-shape area.
 

@@ -1,9 +1,11 @@
-"""Shared builders for PST-level tests: small graphs and random valid PSTs."""
+"""Shared builders for PST-level tests: small graphs, random valid PSTs and
+the exhaustive shape-reselection oracle."""
 
+import itertools
 import random
 
 from pdrplan.chip import ResourceVector
-from pdrplan.pst import PST
+from pdrplan.pst import PST, pack
 from pdrplan.shapes import Shape
 from pdrplan.taskgraph import Edge, TaskGraph, TaskModule
 
@@ -128,3 +130,19 @@ def uniform_shapes(ids, w=5, h=5):
 
 def rects_overlap(a, b):
     return not (a.x_hi < b.x or b.x_hi < a.x or a.y_hi < b.y or b.y_hi < a.y)
+
+
+def brute_force_best_objective(pst, lists, chip):
+    """Exhaustive assignment sweep, each evaluated through pack()."""
+    ids = list(pst.ps)
+    best = None
+    for combo in itertools.product(*(range(len(lists[m].shapes))
+                                     for m in ids)):
+        shapes = {m: lists[m].shapes[j] for m, j in zip(ids, combo)}
+        p = pack(pst, shapes, chip)
+        if p.x_max > chip.width or p.y_max > chip.height:
+            continue
+        obj = (chip.width - p.x_max) + (chip.height - p.y_max)
+        if best is None or obj > best:
+            best = obj
+    return best

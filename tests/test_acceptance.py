@@ -4,18 +4,17 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.  Each test enforces its own runtime budget where one applies.
 """
 
-import itertools
 import random
 import time
 
 import pytest
 
-from helpers import layered_pst, random_pst, rects_overlap
+from helpers import (brute_force_best_objective, layered_pst, random_pst,
+                     rects_overlap)
 from pdrplan.chip import Rect, ResourceVector, builtin_xc7vx485t
 from pdrplan.explore import SAConfig, anneal, initial_solution
 from pdrplan.ilp import build_model, solve
-from pdrplan.pst import (CostWeights, PST, evaluate, pack, schedule,
-                         total_cost, validate)
+from pdrplan.pst import CostWeights, PST, evaluate, pack, schedule, validate
 from pdrplan.report import (PipelineConfig, compute_rrt, postoptimize,
                             run_pipeline, summarize)
 from pdrplan.shapes import (Shape, ShapeGenConfig, ShapeList, generate,
@@ -199,9 +198,9 @@ def test_criterion_6_sa_sanity():
         sol, trace = anneal(g, lists, CHIP, cfg)
         w = weights.resolve(g, CHIP)
         init_pst = initial_solution(g, lists, CHIP)
-        init_cost = total_cost(init_pst,
-                               {m: lists[m].shapes[0] for m in g.module_ids},
-                               g, CHIP, w)
+        init_cost = evaluate(init_pst,
+                             {m: lists[m].shapes[0] for m in g.module_ids},
+                             g, CHIP, w).costs
         assert sol.costs.total <= init_cost.total + 1e-9, f"seed {seed}"
         best = [row.best_cost for row in trace]
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(best, best[1:])), (
@@ -220,22 +219,6 @@ def test_criterion_6_sa_sanity():
     assert elapsed <= 120.0
     print(f"[criterion 6] PASS: 20 seeded runs improve on the initial "
           f"solution, monotone traces, deterministic replay, {elapsed:.1f}s")
-
-
-def brute_force_best_objective(pst, lists, chip):
-    """Exhaustive assignment sweep, each evaluated through pack()."""
-    ids = list(pst.ps)
-    best = None
-    for combo in itertools.product(*(range(len(lists[m].shapes))
-                                     for m in ids)):
-        shapes = {m: lists[m].shapes[j] for m, j in zip(ids, combo)}
-        p = pack(pst, shapes, chip)
-        if p.x_max > chip.width or p.y_max > chip.height:
-            continue
-        obj = (chip.width - p.x_max) + (chip.height - p.y_max)
-        if best is None or obj > best:
-            best = obj
-    return best
 
 
 def test_criterion_7_ilp_exactness():

@@ -1,7 +1,7 @@
 import pytest
 
-from pdrplan.chip import (ChipModel, ColumnKind, Rect, ResourceVector,
-                          builtin_xc7vx485t, parse_chip)
+from pdrplan.chip import (ChipModel, Rect, ResourceVector, builtin_xc7vx485t,
+                          parse_chip)
 from pdrplan.errors import InputFileError
 
 
@@ -15,13 +15,12 @@ def brute_force_window(chip, rect):
     clb = bram = dsp = 0
     mt = rect.h * chip.macro_rows_per_col // chip.clb_rows_per_col
     for x in range(rect.x, rect.x + rect.w):
-        kind = chip.column_kind(x)
-        if kind is ColumnKind.CLB:
-            clb += rect.h
-        elif kind is ColumnKind.BRAM:
+        if x in chip.bram_cols:
             bram += mt
-        else:
+        elif x in chip.dsp_cols:
             dsp += mt
+        else:
+            clb += rect.h
     return ResourceVector(clb, bram, dsp)
 
 
@@ -29,10 +28,11 @@ class TestBuiltinDevice:
     def test_column_inventory(self, chip):
         assert chip.width == 146
         assert chip.height == 350
-        kinds = [chip.column_kind(x) for x in range(1, 147)]
-        assert kinds.count(ColumnKind.CLB) == 111
-        assert kinds.count(ColumnKind.BRAM) == 15
-        assert kinds.count(ColumnKind.DSP) == 20
+        bram = sum(x in chip.bram_cols for x in range(1, 147))
+        dsp = sum(x in chip.dsp_cols for x in range(1, 147))
+        assert 146 - bram - dsp == 111
+        assert bram == 15
+        assert dsp == 20
 
     def test_known_column_positions(self, chip):
         assert 5 in chip.bram_cols
@@ -45,15 +45,9 @@ class TestBuiltinDevice:
         assert chip.capacity().as_tuple() == (38850, 2100, 2800)
 
     def test_column_kind_values(self, chip):
-        assert chip.column_kind(5) is ColumnKind.BRAM
-        assert chip.column_kind(14) is ColumnKind.DSP
-        assert chip.column_kind(1) is ColumnKind.CLB
-
-    def test_column_kind_out_of_range(self, chip):
-        with pytest.raises(ValueError):
-            chip.column_kind(0)
-        with pytest.raises(ValueError):
-            chip.column_kind(147)
+        assert 5 in chip.bram_cols and 5 not in chip.dsp_cols
+        assert 14 in chip.dsp_cols and 14 not in chip.bram_cols
+        assert 1 not in chip.bram_cols and 1 not in chip.dsp_cols
 
 
 class TestResourcesInWindow:
@@ -109,7 +103,8 @@ class TestMinWindowOverX:
         sweep = None
         for x in range(1, 146 - w + 2):
             got = chip.resources_in_window(Rect(x, 1, w, h))
-            sweep = got if sweep is None else sweep.min_with(got)
+            sweep = got if sweep is None else ResourceVector(
+                *map(min, sweep.as_tuple(), got.as_tuple()))
         assert chip.min_window_over_x(w, h) == sweep
 
     def test_lower_bound_on_every_window(self, chip):
@@ -165,8 +160,8 @@ dsp_cols 4,12
     def test_parse_round_trip_queries(self):
         toy = parse_chip(self.GOOD)
         assert toy.width == 16
-        assert toy.column_kind(2) is ColumnKind.BRAM
-        assert toy.column_kind(4) is ColumnKind.DSP
+        assert 2 in toy.bram_cols and 2 not in toy.dsp_cols
+        assert 4 in toy.dsp_cols and 4 not in toy.bram_cols
         assert toy.macro_tiles(5) == 2
 
     def test_unknown_key_rejected(self):

@@ -1,6 +1,10 @@
 import pytest
 
+from pdrplan.chip import builtin_xc7vx485t
 from pdrplan.cli import main
+from pdrplan.report import prepare_instance
+from pdrplan.shapes import ShapeGenConfig
+from pdrplan.taskgraph import load_graph
 
 
 GRAPH = """\
@@ -131,3 +135,48 @@ class TestExploreAndFriends:
                                 "--chip", "builtin:unobtainium"], capsys)
         assert code == 2
         assert "builtin" in err
+
+
+class TestSolutionShapes:
+    """Solution files must carry shapes the explorer could have produced."""
+
+    def plan(self, tmp_path, graph_file, resize):
+        """One region, one layer per module; each module's min-area shape
+        (w, h) is written as resize(module, w, h)."""
+        g, lists = prepare_instance(load_graph(graph_file), builtin_xc7vx485t(),
+                                    ShapeGenConfig(), 0.001)
+        ids = list(g.module_ids)
+        lines = ["ps " + " ".join(ids), "qs " + " ".join(ids),
+                 "rs " + " ".join(f"0.{i}" for i in range(len(ids)))]
+        for i, m in enumerate(ids):
+            s = lists[m].min_area_shape()
+            w, h = resize(m, s.w, s.h)
+            lines.append(f"place {m} region=0 layer={i} w={w} h={h}")
+        path = tmp_path / "plan.txt"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_undersized_shape_rejected(self, graph_file, tmp_path, capsys):
+        sol = self.plan(tmp_path, graph_file,
+                        lambda m, w, h: (1, 5) if m == "m1" else (w, h))
+        code, _, err = run_cli(["metrics", "--graph", graph_file,
+                                "--solution", sol], capsys)
+        assert code == 2
+        assert "module m1" in err and "demand" in err
+
+    def test_unaligned_height_rejected(self, graph_file, tmp_path, capsys):
+        sol = self.plan(tmp_path, graph_file, lambda m, w, h: (w, h - 2))
+        for verb in ("metrics", "postopt"):
+            code, _, err = run_cli([verb, "--graph", graph_file,
+                                    "--solution", sol], capsys)
+            assert code == 2
+            assert "module m1" in err and "quantum" in err
+
+    def test_oversized_shape_rejected(self, graph_file, tmp_path, capsys):
+        sol = self.plan(tmp_path, graph_file,
+                        lambda m, w, h: (147, h) if m == "m2" else (w, h))
+        code, _, err = run_cli(["render", "--graph", graph_file,
+                                "--solution", sol,
+                                "--out-dir", str(tmp_path / "svg")], capsys)
+        assert code == 2
+        assert "module m2" in err and "chip" in err

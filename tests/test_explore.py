@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -8,7 +9,8 @@ from pdrplan.chip import builtin_xc7vx485t
 from pdrplan.explore import (Candidate, RoughEvaluator, SAConfig, accept_move,
                              accurate_evaluate, anneal, apply_candidate,
                              enumerate_insertions, initial_solution)
-from pdrplan.pst import (CostWeights, pack, schedule, total_cost, validate)
+from pdrplan.pst import CostWeights, evaluate, pack, schedule, validate
+from pdrplan.report import prepare_instance
 from pdrplan.shapes import Shape, ShapeGenConfig, ShapeList, generate_all
 from pdrplan.taskgraph import (assign_conf_times, generate, preset_spec)
 
@@ -171,7 +173,7 @@ class TestAccurateEvaluate:
         new_pst, new_shapes, cost, picked = accurate_evaluate(
             without, m, [cand], shapes, g, chip, w)
         assert picked is cand
-        recomputed = total_cost(new_pst, new_shapes, g, chip, w)
+        recomputed = evaluate(new_pst, new_shapes, g, chip, w).costs
         assert cost.total == pytest.approx(recomputed.total)
 
     def test_argmin_over_candidates(self, chip):
@@ -191,7 +193,7 @@ class TestAccurateEvaluate:
             applied = apply_candidate(without, m, c)
             trial = dict(shapes)
             trial[m] = c.shape
-            totals.append(total_cost(applied, trial, g, chip, w).total)
+            totals.append(evaluate(applied, trial, g, chip, w).costs.total)
         assert best_cost.total == pytest.approx(min(totals))
 
 
@@ -232,9 +234,9 @@ class TestAnneal:
         best = [row.best_cost for row in trace]
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(best, best[1:]))
         w = CostWeights().resolve(g, chip)
-        init = total_cost(initial_solution(g, lists, chip),
-                          {m: lists[m].shapes[0] for m in g.module_ids},
-                          g, chip, w)
+        init = evaluate(initial_solution(g, lists, chip),
+                        {m: lists[m].shapes[0] for m in g.module_ids},
+                        g, chip, w).costs
         assert sol.costs.total <= init.total + 1e-9
 
     def test_deterministic_per_seed(self, chip):
@@ -253,6 +255,13 @@ class TestAnneal:
                        validate_every_step=True)
         sol, _ = anneal(g, lists, chip, cfg)
         assert validate(sol.pst, g) == []
+
+    def test_time_limit_covers_probe_moves(self, chip):
+        g, lists = prepare_instance(generate(preset_spec("t100-1", seed=0)),
+                                    chip, ShapeGenConfig(), 0.001)
+        started = time.monotonic()
+        anneal(g, lists, chip, SAConfig(seed=0, time_limit=0.2))
+        assert time.monotonic() - started < 1.5
 
     def test_unresolved_conf_rejected(self, chip):
         spec = preset_spec("t10-1", seed=1)

@@ -1,12 +1,13 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from helpers import (layered_pst, make_graph, random_pst, rects_overlap,
                      single_layer_pst, uniform_shapes)
 from pdrplan.chip import Rect, ResourceVector, builtin_xc7vx485t
-from pdrplan.pst import (CostWeights, PST, comm_cost, hetero_cost, is_feasible,
-                         pack, schedule, total_cost, validate)
+from pdrplan.pst import (CostWeights, PST, comm_cost, evaluate, hetero_cost,
+                         is_feasible, pack, schedule, validate)
 from pdrplan.shapes import Shape
 from pdrplan.taskgraph import Edge, TaskGraph, TaskModule
 
@@ -292,30 +293,40 @@ class TestTotalCost:
         g = make_graph(3)
         pst = single_layer_pst(g.module_ids)
         w = CostWeights(alpha=0, beta=0, gamma_comm=0, lambda_=0)
-        assert total_cost(pst, uniform_shapes(g.module_ids), g, chip, w).total == 0.0
+        got = evaluate(pst, uniform_shapes(g.module_ids), g, chip, w).costs
+        assert got.total == 0.0
 
     def test_area_term_only(self, chip):
         g = make_graph(1)
         pst = single_layer_pst(["m1"])
         w = CostWeights(alpha=1, beta=0, gamma_comm=0, lambda_=0)
-        got = total_cost(pst, {"m1": Shape(8, 5)}, g, chip, w)
+        got = evaluate(pst, {"m1": Shape(8, 5)}, g, chip, w).costs
         assert got.total == pytest.approx(40 / 51100)
 
     def test_schedule_term_consistency(self, chip):
         g = make_graph(4, exec_time=7.0, conf=0.5)
         pst = single_layer_pst(g.module_ids)
         w = CostWeights(alpha=0, beta=1, gamma_comm=0, lambda_=0).resolve(g, chip)
-        got = total_cost(pst, uniform_shapes(g.module_ids), g, chip, w)
+        got = evaluate(pst, uniform_shapes(g.module_ids), g, chip, w).costs
         s = schedule(pst, g)
         assert got.total == pytest.approx(s.makespan / w.schedule_norm)
+
+    def test_partially_set_normalizers_resolved(self, chip):
+        g = make_graph(3, edges=[("m1", "m2", 4.0)], conf=1.0)
+        pst = single_layer_pst(g.module_ids)
+        shapes = uniform_shapes(g.module_ids)
+        by_hand = replace(CostWeights().resolve(g, chip), area_norm=100.0)
+        got = evaluate(pst, shapes, g, chip, CostWeights(area_norm=100.0))
+        assert got.costs == evaluate(pst, shapes, g, chip, by_hand).costs
+        assert by_hand.resolve(g, chip) is by_hand
 
     def test_boundary_overflow_penalized(self, chip):
         g = make_graph(2)
         pst = single_layer_pst(g.module_ids)
         w = CostWeights(alpha=1, beta=0, gamma_comm=0, lambda_=0)
-        inside = total_cost(pst, {"m1": Shape(73, 5), "m2": Shape(73, 5)},
-                            g, chip, w)
-        outside = total_cost(pst, {"m1": Shape(74, 5), "m2": Shape(73, 5)},
-                             g, chip, w)
+        inside = evaluate(pst, {"m1": Shape(73, 5), "m2": Shape(73, 5)},
+                          g, chip, w).costs
+        outside = evaluate(pst, {"m1": Shape(74, 5), "m2": Shape(73, 5)},
+                           g, chip, w).costs
         assert inside.feasible and not outside.feasible
         assert outside.total > inside.total + w.boundary_penalty / chip.width / 2

@@ -5,8 +5,7 @@ import pytest
 from pdrplan.chip import ChipModel, Rect, ResourceVector, builtin_xc7vx485t
 from pdrplan.errors import InfeasibleModuleError
 from pdrplan.shapes import (Shape, ShapeGenConfig, ShapeList, aspect_ratio,
-                            generate, initial_width, min_height_for_width,
-                            pick_initial)
+                            generate, initial_width, min_height_for_width)
 from pdrplan.taskgraph import TaskModule
 
 
@@ -42,7 +41,7 @@ def brute_force_lists(mod, chip, cfg):
                     kept.append(s)
                     seen.add(h)
                 break  # taller windows at this width are not minimal
-    if best_any is not None and cfg.keep_fallback and best_any not in kept:
+    if best_any is not None and best_any not in kept:
         kept = [s for s in kept if s.h != best_any.h]
         kept.append(best_any)
     kept.sort(key=lambda s: (s.area, s.w))
@@ -161,9 +160,6 @@ class TestGenerate:
         mod = module(clb=10)
         sl = generate(mod, toy, ShapeGenConfig(n=10, gamma_ar=1.5))
         assert sl.shapes == (Shape(2, 10),)
-        with pytest.raises(InfeasibleModuleError):
-            generate(mod, toy, ShapeGenConfig(n=10, gamma_ar=1.5,
-                                              keep_fallback=False))
 
     def test_impossible_demand_raises(self, chip):
         with pytest.raises(InfeasibleModuleError):
@@ -183,13 +179,15 @@ class TestShapeMinimality:
 
 
 class TestPickInitial:
+    """The explorer's starting shape: ShapeList.min_area_shape()."""
+
     def test_minimum_area_first(self):
         sl = ShapeList("m1", (Shape(8, 5), Shape(5, 10)))
-        assert pick_initial(sl) == Shape(8, 5)
+        assert sl.min_area_shape() == Shape(8, 5)
 
     def test_singleton(self):
         sl = ShapeList("m1", (Shape(3, 5),))
-        assert pick_initial(sl) == Shape(3, 5)
+        assert sl.min_area_shape() == Shape(3, 5)
 
     def test_tie_broken_by_width(self, chip):
         # Equal areas 40: (4,10) sorts before (5,8) by smaller width.
