@@ -11,6 +11,7 @@ vertical position.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import sub
 from pathlib import Path
 
 from .errors import InputFileError
@@ -87,6 +88,7 @@ class ChipModel:
     quantum: int
     _bram_prefix: tuple = field(init=False, repr=False, compare=False)
     _dsp_prefix: tuple = field(init=False, repr=False, compare=False)
+    _min_counts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "bram_cols", frozenset(self.bram_cols))
@@ -99,6 +101,15 @@ class ChipModel:
             dsp[x] = dsp[x - 1] + (x in self.dsp_cols)
         object.__setattr__(self, "_bram_prefix", tuple(bram))
         object.__setattr__(self, "_dsp_prefix", tuple(dsp))
+        # Worst-case column mix of every window width, counted once: shape
+        # generation asks for each width of every module.
+        macro = [b + d for b, d in zip(bram, dsp)]
+        mins = [None]
+        for w in range(1, self.width + 1):
+            mins.append((w - max(map(sub, macro[w:], macro)),
+                         min(map(sub, bram[w:], bram)),
+                         min(map(sub, dsp[w:], dsp))))
+        object.__setattr__(self, "_min_counts", tuple(mins))
 
     def _validate(self):
         if self.width < 1 or self.height < 1:
@@ -152,16 +163,7 @@ class ChipModel:
         """Componentwise minimum of column_counts over every x position."""
         if not 1 <= w <= self.width:
             raise ValueError(f"window width {w} outside [1, {self.width}]")
-        mc = mb = md = self.width + 1
-        for x in range(1, self.width - w + 2):
-            c, b, d = self.column_counts(x, w)
-            if c < mc:
-                mc = c
-            if b < mb:
-                mb = b
-            if d < md:
-                md = d
-        return (mc, mb, md)
+        return self._min_counts[w]
 
     def min_window_over_x(self, w: int, h: int) -> ResourceVector:
         """Componentwise minimum of resources_in_window over all x offsets.

@@ -5,7 +5,10 @@ existing layer, into a fresh layer of an existing region, or into a fresh
 region.  Insertion points are first ranked by a cheap rough score (area
 and schedule estimates; the moved module's shape is reselected from its
 candidate list at the same time), then the best few are re-costed exactly
-and the winner goes through the usual Metropolis acceptance test.
+and the winner goes through the usual Metropolis acceptance test.  Rough
+estimates are computed once per class of insertion points that share
+them (the same target layer or region side, the same configuration slot)
+rather than once per point.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ from dataclasses import dataclass, field
 
 from .chip import ChipModel
 from .errors import InfeasibleModuleError
-from .pst import CostWeights, PST, evaluate, pack, schedule, validate
+# schedule is unused here but stays importable as explore.schedule, one of
+# the names planbench/tracing.py wraps.
+from .pst import (CostWeights, PST, block_spans, evaluate, pack, schedule,
+                  validate)
 from .shapes import Shape, ShapeList
 from .taskgraph import TaskGraph
 
@@ -124,17 +130,6 @@ def initial_solution(g: TaskGraph, shape_lists: dict, chip: ChipModel) -> PST:
     return PST(ps=seq, qs=seq, rs=rs, partition=partition)
 
 
-def _block_spans(seq, keyof):
-    spans: dict = {}
-    for i, m in enumerate(seq):
-        k = keyof(m)
-        if k in spans:
-            spans[k][1] = i
-        else:
-            spans[k] = [i, i]
-    return spans
-
-
 def enumerate_insertions(pst: PST, m: str, g: TaskGraph | None = None) -> list:
     """Every structurally valid reinsertion point for module m.
 
@@ -146,10 +141,11 @@ def enumerate_insertions(pst: PST, m: str, g: TaskGraph | None = None) -> list:
     """
     if m in pst.partition:
         raise ValueError(f"module {m} must be deleted before reinsertion")
-    layer_ps = _block_spans(pst.ps, lambda x: pst.partition[x])
-    layer_qs = _block_spans(pst.qs, lambda x: pst.partition[x])
-    region_ps = _block_spans(pst.ps, lambda x: pst.partition[x][0])
-    region_qs = _block_spans(pst.qs, lambda x: pst.partition[x][0])
+    part = pst.partition
+    layer_ps = block_spans(part[x] for x in pst.ps)
+    layer_qs = block_spans(part[x] for x in pst.qs)
+    region_ps = block_spans(part[x][0] for x in pst.ps)
+    region_qs = block_spans(part[x][0] for x in pst.qs)
     rs_index = {key: i for i, key in enumerate(pst.rs)}
 
     max_pred, min_succ = -1, len(pst.rs)
@@ -208,15 +204,23 @@ def apply_candidate(pst: PST, m: str, cand: Candidate) -> PST:
 
 
 class RoughEvaluator:
-    """Linear-time scores for insertion candidates of one deleted module.
+    """Rough scores for the insertion candidates of one deleted module.
 
-    Approximate mode treats each region as a rigid block: the candidate
+    The area estimate treats each region as a rigid block: the candidate
     only resizes its target region, so the whole-design extents become
     max(A, B + size) with A/B cached per region from one longest-path
     sweep over the region-level relation graph.  The schedule estimate
     runs the configuration recurrence at layer granularity, ignoring
-    cross-layer execution dependencies.  Exact mode packs and schedules
-    for real and is used by tests as the reference.
+    cross-layer execution dependencies.
+
+    Each estimate depends on a few fields of a candidate only, so it is
+    computed once per class of candidates and shared by the class.  The
+    shape choice and area term depend on the target alone: an existing
+    layer, a fresh layer of one region, or a fresh region on its side of
+    the design.  The schedule term depends on (layer, new_layer, rs_pos);
+    its recurrence resumes from the state saved just before that rs
+    position.  Shared values are the same floats a per-candidate
+    computation gives.
     """
 
     def __init__(self, pst: PST, shapes: dict, g: TaskGraph, chip: ChipModel,
@@ -250,10 +254,22 @@ class RoughEvaluator:
         self.moved_conf = mod.conf_time or 0.0
         self.moved_exec = mod.exec_time
 
+        # Recurrence steps (region, conf, exec) in rs order, and the state
+        # (port, region ends, makespan) before each of them and after all.
+        self.rs_index = {key: i for i, key in enumerate(pst.rs)}
+        self._steps = [(key[0], self.conf_sum[key], self.exec_max[key])
+                       for key in pst.rs]
+        self._prefix = []
+        state = (0.0, {}, 0.0)
+        for step in self._steps:
+            self._prefix.append((state[0], dict(state[1]), state[2]))
+            state = _recurrence(*state, (step,))
+        self._prefix.append(state)
+
         # Region-level relation edges, from block order in ps and qs.
         # Horizontal edges run along ps block order, vertical ones along qs.
-        region_ps = _block_spans(pst.ps, lambda x: pst.partition[x][0])
-        region_qs = _block_spans(pst.qs, lambda x: pst.partition[x][0])
+        region_ps = block_spans(pst.partition[x][0] for x in pst.ps)
+        region_qs = block_spans(pst.partition[x][0] for x in pst.qs)
         self.regions = sorted(region_ps)
         self.order_ps = sorted(self.regions, key=lambda r: region_ps[r][0])
         self.order_qs = sorted(self.regions, key=lambda r: region_qs[r][0])
@@ -270,7 +286,10 @@ class RoughEvaluator:
                         and region_qs[a][1] < region_qs[b][0]):
                     self.v_edges.append((a, b))
         self._extent_cache: dict = {}
-        self._others: dict = {}
+        self._others: dict = {}  # region -> _top_two of widths, of heights
+        self._shape_list = None
+        self._fits: dict = {}  # target -> (shape, weighted area term)
+        self._sched_terms: dict = {}  # (layer, new_layer, rs_pos) -> term
 
     def _extent_coeffs(self, r, edges, sizes, order):
         """(A, B) such that the extent as a function of r's size is max(A, B + size).
@@ -320,36 +339,34 @@ class RoughEvaluator:
         return self._extent_cache[r]
 
     def _other_layers(self, key):
-        """Largest width and height among the other layers of key's region."""
-        if key not in self._others:
-            keys = [k for k in self.pst.region_layers[key[0]] if k != key]
-            self._others[key] = (max((self.layer_w[k] for k in keys), default=0),
-                                 max((self.layer_h[k] for k in keys), default=0))
-        return self._others[key]
+        """Largest width and height among the other layers of key's region.
+
+        Each region's two largest layers per dimension are found once: the
+        answer is the largest unless key is that layer.
+        """
+        tops = self._others.get(key[0])
+        if tops is None:
+            keys = self.pst.region_layers[key[0]]
+            tops = self._others[key[0]] = (_top_two(self.layer_w, keys),
+                                           _top_two(self.layer_h, keys))
+        (w_key, w1, w2), (h_key, h1, h2) = tops
+        return (w2 if key == w_key else w1, h2 if key == h_key else h1)
 
     def _sched_estimate(self, cand: Candidate) -> float:
-        rs = list(self.pst.rs)
-        conf = dict(self.conf_sum)
-        emax = dict(self.exec_max)
+        """Makespan estimate with the candidate's layer changed or inserted."""
+        key = cand.layer
         if cand.new_layer:
-            rs.insert(cand.rs_pos, cand.layer)
-            conf[cand.layer] = self.moved_conf
-            emax[cand.layer] = self.moved_exec
+            t = cand.rs_pos
+            step = (key[0], self.moved_conf, self.moved_exec)
+            rest = self._steps[t:]
         else:
-            conf[cand.layer] = conf[cand.layer] + self.moved_conf
-            emax[cand.layer] = max(emax[cand.layer], self.moved_exec)
-        port = 0.0
-        region_end: dict = {}
-        makespan = 0.0
-        for key in rs:
-            start = max(port, region_end.get(key[0], 0.0))
-            end = start + conf[key]
-            port = end
-            layer_end = end + emax[key]
-            region_end[key[0]] = layer_end
-            if layer_end > makespan:
-                makespan = layer_end
-        return makespan
+            t = self.rs_index[key]
+            step = (key[0], self.conf_sum[key] + self.moved_conf,
+                    max(self.exec_max[key], self.moved_exec))
+            rest = self._steps[t + 1:]
+        port, region_end, makespan = self._prefix[t]
+        state = _recurrence(port, dict(region_end), makespan, (step,))
+        return _recurrence(*state, rest)[2]
 
     def _approx_extents(self, cand: Candidate, shape: Shape):
         if cand.new_region:
@@ -376,36 +393,74 @@ class RoughEvaluator:
         ax, bx, ay, by = self._region_coeffs(region)
         return max(ax, bx + rw), max(ay, by + rh)
 
-    def evaluate(self, cand: Candidate, shape_list: ShapeList,
-                 exact: bool = False):
+    def _best_shape(self, cand: Candidate, shape_list: ShapeList):
+        """Shape minimizing the estimated design area (ties: smaller shape
+        area) and its weighted, normalized area term."""
+        best = None
+        for shape in shape_list.shapes:
+            x, y = self._approx_extents(cand, shape)
+            key = (x * y, shape.area)
+            if best is None or key < best[0]:
+                best = (key, shape, x * y)
+        _, shape, area_est = best
+        return shape, self.w.alpha * area_est / self.w.area_norm
+
+    def evaluate(self, cand: Candidate, shape_list: ShapeList):
         """Choose the best shape for this candidate and score it.
 
         The shape minimizes the estimated whole-design area (ties: smaller
         shape area); the score adds the schedule estimate with the cost
-        weights, both normalized.
+        weights, both normalized.  Both parts come from the candidate's
+        classes, computed on first use.
         """
-        best = None
-        if exact:
-            for shape in shape_list.shapes:
-                new_pst = apply_candidate(self.pst, self.moved, cand)
-                shapes = dict(self.shapes)
-                shapes[self.moved] = shape
-                p = pack(new_pst, shapes, self.chip)
-                s = schedule(new_pst, self.g)
-                key = (p.x_max * p.y_max, shape.area)
-                if best is None or key < best[0]:
-                    best = (key, shape, p.x_max * p.y_max, s.makespan)
+        if shape_list is not self._shape_list:
+            self._shape_list = shape_list
+            self._fits = {}
+        if cand.new_region:
+            target = (None, cand.ps_pos == cand.qs_pos or not self.pst.ps)
         else:
-            sched_est = self._sched_estimate(cand)
-            for shape in shape_list.shapes:
-                x, y = self._approx_extents(cand, shape)
-                key = (x * y, shape.area)
-                if best is None or key < best[0]:
-                    best = (key, shape, x * y, sched_est)
-        _, shape, area_est, sched_est = best
-        score = (self.w.alpha * area_est / self.w.area_norm
-                 + self.w.beta * sched_est / self.w.schedule_norm)
-        return shape, score
+            target = (cand.layer, cand.new_layer)
+        fit = self._fits.get(target)
+        if fit is None:
+            fit = self._fits[target] = self._best_shape(cand, shape_list)
+        when = (cand.layer, cand.new_layer, cand.rs_pos)
+        sched = self._sched_terms.get(when)
+        if sched is None:
+            sched = self._sched_terms[when] = (
+                self.w.beta * self._sched_estimate(cand) / self.w.schedule_norm)
+        return fit[0], fit[1] + sched
+
+
+def _top_two(size: dict, keys) -> tuple:
+    """(key of the largest size, that size, largest size of the other keys)."""
+    best_key, first, second = None, 0, 0
+    for k in keys:
+        v = size[k]
+        if best_key is None or v > first:
+            best_key, first, second = k, v, first
+        elif v > second:
+            second = v
+    return best_key, first, second
+
+
+def _recurrence(port, region_end, makespan, steps):
+    """Layer-granularity configuration recurrence over (region, conf, exec)
+    steps.
+
+    Each layer's configuration waits for the port and for the previous
+    layer of its region; region_end is updated in place.  Returns the
+    state after the last step.
+    """
+    for region, conf, emax in steps:
+        start = region_end.get(region, 0.0)
+        if port > start:
+            start = port
+        port = start + conf
+        layer_end = port + emax
+        region_end[region] = layer_end
+        if layer_end > makespan:
+            makespan = layer_end
+    return port, region_end, makespan
 
 
 def accurate_evaluate(pst_without: PST, m: str, cands: list, shapes: dict,

@@ -14,7 +14,10 @@ modules into reconfigurable regions and time layers:
   rectangle and impose no mutual constraint.
 
 Packing evaluates the filtered sequence-pair relations by longest paths,
-exactly as in plain sequence-pair floorplanning.
+as in plain sequence-pair floorplanning, but one layer at a time: since
+regions relate uniformly and layers of one region not at all, a module's
+longest path is its region's offset (a longest path over the region-level
+relations) plus its position inside its own layer.
 """
 
 from __future__ import annotations
@@ -148,68 +151,115 @@ class Placement:
     y_max: int
 
 
+def block_spans(keys) -> dict:
+    """Block key -> [first, last] index in a sequence of block keys, in
+    order of first appearance."""
+    spans: dict = {}
+    for i, k in enumerate(keys):
+        if k in spans:
+            spans[k][1] = i
+        else:
+            spans[k] = [i, i]
+    return spans
+
+
 def pack(pst: PST, shapes: dict, chip: ChipModel) -> Placement:
-    """Longest-path evaluation of the filtered sequence pair.
+    """Longest-path evaluation of the filtered sequence pair, by layer.
 
-    Always succeeds; a result exceeding the chip is reported by
-    is_feasible, not here.  y coordinates stay quantum-aligned because
-    every height is a quantum multiple.
+    Every module of a region is related to every module of another region
+    in the same way, because region blocks are contiguous in ps and qs,
+    while layers of one region constrain nothing across each other.  The
+    longest path into a module is therefore its region's offset (a longest
+    path over the region-level relations, each region as wide and tall as
+    its largest layer) plus its position from plain sequence-pair packing
+    of its own layer alone.  This is the module-level longest path over
+    the filtered relation graph, evaluated in pieces.
+
+    The PST must be structurally valid (see validate): the decomposition
+    rests on contiguous region and layer blocks.  Packing always succeeds;
+    a result exceeding the chip is reported by is_feasible, not here.  y
+    coordinates stay quantum-aligned because every height is a quantum
+    multiple.
     """
-    ps, qs = pst.ps, pst.qs
-    n = len(ps)
-    part = pst.partition
-    qpos = {m: i for i, m in enumerate(qs)}
-    q = [qpos[m] for m in ps]
-    reg = [part[m][0] for m in ps]
-    lay = [part[m] for m in ps]
-    w = [shapes[m].w for m in ps]
-    h = [shapes[m].h for m in ps]
-
-    x0 = [0] * n
-    for j in range(n):
-        qj, rj, lj = q[j], reg[j], lay[j]
-        best = 0
-        for i in range(j):
-            if q[i] < qj and (reg[i] != rj or lay[i] == lj):
-                v = x0[i] + w[i]
-                if v > best:
-                    best = v
-        x0[j] = best
-
+    ps, qs, part = pst.ps, pst.qs, pst.partition
     ppos = {m: i for i, m in enumerate(ps)}
-    p_of_q = [ppos[m] for m in qs]
-    y0 = [0] * n
-    for jq in range(n):
-        jp = p_of_q[jq]
-        rj, lj = reg[jp], lay[jp]
-        best = 0
-        for iq in range(jq):
-            ip = p_of_q[iq]
-            if ip > jp and (reg[ip] != rj or lay[ip] == lj):
-                v = y0[ip] + h[ip]
-                if v > best:
-                    best = v
-        y0[jp] = best
+    qpos = {m: i for i, m in enumerate(qs)}
+    by_q: dict = {}
+    for m in qs:
+        by_q.setdefault(part[m], []).append(m)
+
+    local_x: dict = {}
+    local_y: dict = {}
+    region_w: dict = {}
+    region_h: dict = {}
+    for key, mods in pst.layer_members.items():
+        # i left of j: i before j in ps and in qs.
+        placed = []
+        lw = 0
+        for m in mods:
+            qm = qpos[m]
+            x = 0
+            for qi, xi in placed:
+                if qi < qm and xi > x:
+                    x = xi
+            local_x[m] = x
+            end = x + shapes[m].w
+            placed.append((qm, end))
+            if end > lw:
+                lw = end
+        # i below j: i after j in ps and before j in qs.
+        placed = []
+        lh = 0
+        for m in by_q[key]:
+            pm = ppos[m]
+            y = 0
+            for pi, yi in placed:
+                if pi > pm and yi > y:
+                    y = yi
+            local_y[m] = y
+            end = y + shapes[m].h
+            placed.append((pm, end))
+            if end > lh:
+                lh = end
+        region = key[0]
+        if lw > region_w.get(region, 0):
+            region_w[region] = lw
+        if lh > region_h.get(region, 0):
+            region_h[region] = lh
+
+    ps_span = block_spans(part[m][0] for m in ps)
+    qs_span = block_spans(part[m][0] for m in qs)
+    off_x: dict = {}
+    for r in ps_span:
+        first_q = qs_span[r][0]
+        x = 0
+        for a, xa in off_x.items():
+            if qs_span[a][1] < first_q:
+                xa += region_w[a]
+                if xa > x:
+                    x = xa
+        off_x[r] = x
+    off_y: dict = {}
+    for r in qs_span:
+        last_p = ps_span[r][1]
+        y = 0
+        for a, ya in off_y.items():
+            if ps_span[a][0] > last_p:
+                ya += region_h[a]
+                if ya > y:
+                    y = ya
+        off_y[r] = y
 
     coords = {}
-    boxes: dict = {}
-    x_max = y_max = 0
-    for idx, m in enumerate(ps):
-        r = Rect(x0[idx] + 1, y0[idx] + 1, w[idx], h[idx])
-        coords[m] = r
-        x_max = max(x_max, r.x_hi)
-        y_max = max(y_max, r.y_hi)
-        region = reg[idx]
-        if region in boxes:
-            bx1, by1, bx2, by2 = boxes[region]
-            boxes[region] = (min(bx1, r.x), min(by1, r.y),
-                             max(bx2, r.x_hi), max(by2, r.y_hi))
-        else:
-            boxes[region] = (r.x, r.y, r.x_hi, r.y_hi)
-    region_boxes = {
-        region: Rect(bx1, by1, bx2 - bx1 + 1, by2 - by1 + 1)
-        for region, (bx1, by1, bx2, by2) in boxes.items()
-    }
+    for m in ps:
+        r = part[m][0]
+        shape = shapes[m]
+        coords[m] = Rect(off_x[r] + local_x[m] + 1, off_y[r] + local_y[m] + 1,
+                         shape.w, shape.h)
+    region_boxes = {r: Rect(off_x[r] + 1, off_y[r] + 1, region_w[r], region_h[r])
+                    for r in ps_span}
+    x_max = max((off_x[r] + region_w[r] for r in ps_span), default=0)
+    y_max = max((off_y[r] + region_h[r] for r in ps_span), default=0)
     return Placement(coords=coords, region_boxes=region_boxes,
                      x_max=x_max, y_max=y_max)
 

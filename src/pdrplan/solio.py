@@ -55,6 +55,7 @@ def write_solution(sol: Solution) -> str:
 def parse_solution(text: str, source: str = "<solution>"):
     """(PST, shapes, metrics) from solution text; geometry is not trusted."""
     ps = qs = rs = None
+    seen = set()
     partition = {}
     shapes = {}
     metrics = {}
@@ -64,6 +65,9 @@ def parse_solution(text: str, source: str = "<solution>"):
             continue
         tokens = line.split()
         kind = tokens[0]
+        if kind in ("ps", "qs", "rs") and kind in seen:
+            raise InputFileError(f"{source}:{lineno}: second {kind} line")
+        seen.add(kind)
         if kind == "ps":
             ps = tuple(tokens[1:])
         elif kind == "qs":
@@ -74,6 +78,9 @@ def parse_solution(text: str, source: str = "<solution>"):
             if len(tokens) < 2:
                 raise InputFileError(f"{source}:{lineno}: place needs a module id")
             mid = tokens[1]
+            if mid in partition:
+                raise InputFileError(
+                    f"{source}:{lineno}: second place line for module {mid}")
             kv = {}
             for tok in tokens[2:]:
                 if "=" not in tok:

@@ -1,11 +1,14 @@
-"""Shared builders for PST-level tests: small graphs, random valid PSTs and
-the exhaustive shape-reselection oracle."""
+"""Shared builders and reference oracles for PST-level tests: small graphs,
+random valid PSTs, the exhaustive shape-reselection oracle, and plain
+reference versions of packing, rough scoring and chip window counts that
+the optimised code in src/ must agree with."""
 
 import itertools
 import random
 
-from pdrplan.chip import ResourceVector
-from pdrplan.pst import PST, pack
+from pdrplan.chip import Rect, ResourceVector
+from pdrplan.explore import apply_candidate
+from pdrplan.pst import PST, Placement, pack, schedule
 from pdrplan.shapes import Shape
 from pdrplan.taskgraph import Edge, TaskGraph, TaskModule
 
@@ -146,3 +149,141 @@ def brute_force_best_objective(pst, lists, chip):
         if best is None or obj > best:
             best = obj
     return best
+
+
+def exact_rough_evaluate(ev, cand, shape_list):
+    """(shape, score) of a candidate with every shape packed and scheduled.
+
+    The rough evaluator's shape choice and score, computed exactly: each
+    shape of the list is applied, the PST packed and scheduled for real.
+    """
+    best = None
+    new_pst = apply_candidate(ev.pst, ev.moved, cand)
+    s = schedule(new_pst, ev.g)
+    for shape in shape_list.shapes:
+        shapes = dict(ev.shapes)
+        shapes[ev.moved] = shape
+        p = pack(new_pst, shapes, ev.chip)
+        key = (p.x_max * p.y_max, shape.area)
+        if best is None or key < best[0]:
+            best = (key, shape, p.x_max * p.y_max)
+    _, shape, area = best
+    score = (ev.w.alpha * area / ev.w.area_norm
+             + ev.w.beta * s.makespan / ev.w.schedule_norm)
+    return shape, score
+
+
+def per_candidate_rough(ev, cand, shape_list):
+    """(shape, score) of one candidate, computed without any class sharing.
+
+    Scores every shape through the evaluator's extent estimate and runs
+    the layer-granularity schedule recurrence over a fresh copy of rs
+    with the candidate inserted.
+    """
+    g, pst = ev.g, ev.pst
+    conf = {k: sum(g.module(x).conf_time or 0.0 for x in mods)
+            for k, mods in pst.layer_members.items()}
+    emax = {k: max(g.module(x).exec_time for x in mods)
+            for k, mods in pst.layer_members.items()}
+    rs = list(pst.rs)
+    moved = g.module(ev.moved)
+    if cand.new_layer:
+        rs.insert(cand.rs_pos, cand.layer)
+        conf[cand.layer] = moved.conf_time or 0.0
+        emax[cand.layer] = moved.exec_time
+    else:
+        conf[cand.layer] = conf[cand.layer] + (moved.conf_time or 0.0)
+        emax[cand.layer] = max(emax[cand.layer], moved.exec_time)
+    port = 0.0
+    region_end = {}
+    makespan = 0.0
+    for key in rs:
+        start = max(port, region_end.get(key[0], 0.0))
+        end = start + conf[key]
+        port = end
+        layer_end = end + emax[key]
+        region_end[key[0]] = layer_end
+        if layer_end > makespan:
+            makespan = layer_end
+    best = None
+    for shape in shape_list.shapes:
+        x, y = ev._approx_extents(cand, shape)
+        key = (x * y, shape.area)
+        if best is None or key < best[0]:
+            best = (key, shape, x * y)
+    _, shape, area = best
+    score = (ev.w.alpha * area / ev.w.area_norm
+             + ev.w.beta * makespan / ev.w.schedule_norm)
+    return shape, score
+
+
+def scan_min_column_counts(chip, w):
+    """Componentwise minimum of column_counts over every x offset."""
+    counts = [chip.column_counts(x, w) for x in range(1, chip.width - w + 2)]
+    return tuple(min(c[k] for c in counts) for k in range(3))
+
+
+def module_level_pack(pst, shapes, chip):
+    """Reference pack: one longest path over all module pairs.
+
+    Two modules are related iff they sit in different regions or share a
+    layer; x and y come from the filtered sequence pair in O(n^2).
+    pdrplan.pst.pack must return an equal Placement, dict order included.
+    """
+    ps, qs = pst.ps, pst.qs
+    n = len(ps)
+    part = pst.partition
+    qpos = {m: i for i, m in enumerate(qs)}
+    q = [qpos[m] for m in ps]
+    reg = [part[m][0] for m in ps]
+    lay = [part[m] for m in ps]
+    w = [shapes[m].w for m in ps]
+    h = [shapes[m].h for m in ps]
+
+    x0 = [0] * n
+    for j in range(n):
+        qj, rj, lj = q[j], reg[j], lay[j]
+        best = 0
+        for i in range(j):
+            if q[i] < qj and (reg[i] != rj or lay[i] == lj):
+                v = x0[i] + w[i]
+                if v > best:
+                    best = v
+        x0[j] = best
+
+    ppos = {m: i for i, m in enumerate(ps)}
+    p_of_q = [ppos[m] for m in qs]
+    y0 = [0] * n
+    for jq in range(n):
+        jp = p_of_q[jq]
+        rj, lj = reg[jp], lay[jp]
+        best = 0
+        for iq in range(jq):
+            ip = p_of_q[iq]
+            if ip > jp and (reg[ip] != rj or lay[ip] == lj):
+                v = y0[ip] + h[ip]
+                if v > best:
+                    best = v
+        y0[jp] = best
+
+    coords = {}
+    boxes: dict = {}
+    x_max = y_max = 0
+    for idx, m in enumerate(ps):
+        r = Rect(x0[idx] + 1, y0[idx] + 1, w[idx], h[idx])
+        coords[m] = r
+        x_max = max(x_max, r.x_hi)
+        y_max = max(y_max, r.y_hi)
+        region = reg[idx]
+        if region in boxes:
+            bx1, by1, bx2, by2 = boxes[region]
+            boxes[region] = (min(bx1, r.x), min(by1, r.y),
+                             max(bx2, r.x_hi), max(by2, r.y_hi))
+        else:
+            boxes[region] = (r.x, r.y, r.x_hi, r.y_hi)
+    region_boxes = {
+        region: Rect(bx1, by1, bx2 - bx1 + 1, by2 - by1 + 1)
+        for region, (bx1, by1, bx2, by2) in boxes.items()
+    }
+    return Placement(coords=coords, region_boxes=region_boxes,
+                     x_max=x_max, y_max=y_max)

@@ -180,3 +180,12 @@ class TestSolutionShapes:
                                 "--out-dir", str(tmp_path / "svg")], capsys)
         assert code == 2
         assert "module m2" in err and "chip" in err
+
+    def test_second_place_line_rejected(self, graph_file, tmp_path, capsys):
+        sol = self.plan(tmp_path, graph_file, lambda m, w, h: (w, h))
+        with open(sol, "a") as f:
+            f.write("place m1 region=0 layer=0 w=146 h=350\n")
+        code, _, err = run_cli(["metrics", "--graph", graph_file,
+                                "--solution", sol], capsys)
+        assert code == 2
+        assert f"{sol}:7: second place line for module m1" in err

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from helpers import make_graph
+from helpers import exact_rough_evaluate, make_graph
 from pdrplan.chip import builtin_xc7vx485t
 from pdrplan.explore import (Candidate, RoughEvaluator, SAConfig, accept_move,
                              accurate_evaluate, anneal, apply_candidate,
@@ -131,7 +131,7 @@ class TestRoughEvaluate:
             without = pst.without(m)
             ev = RoughEvaluator(without, shapes, g, chip, w, m)
             for cand in enumerate_insertions(without, m, g)[:10]:
-                shape, score = ev.evaluate(cand, lists[m], exact=True)
+                shape, score = exact_rough_evaluate(ev, cand, lists[m])
                 applied = apply_candidate(without, m, cand)
                 trial = dict(shapes)
                 trial[m] = shape
@@ -155,8 +155,8 @@ class TestRoughEvaluate:
         m2_list = ShapeList("m2", (Shape(5, 100), Shape(100, 5)))
         above = [c for c in enumerate_insertions(pst, "m2", g)
                  if not c.new_layer and c.ps_pos == 0 and c.qs_pos == 1][0]
-        for exact in (False, True):
-            shape, _ = ev.evaluate(above, m2_list, exact=exact)
+        for score in (ev.evaluate, lambda *a: exact_rough_evaluate(ev, *a)):
+            shape, _ = score(above, m2_list)
             assert shape == Shape(100, 5)
 
 

@@ -1,16 +1,24 @@
-"""Property tests: the graph and solution text formats round-trip."""
+"""Property tests: the text formats round-trip, schedules respect their
+lower bounds, and the optimised packing, rough scoring and chip window
+counts agree with the plain reference versions in helpers.py."""
 
+import functools
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_graph, random_pst
-from pdrplan.chip import ResourceVector, builtin_xc7vx485t
-from pdrplan.pst import CostWeights, evaluate
-from pdrplan.shapes import Shape
+from helpers import (layered_pst, make_graph, module_level_pack,
+                     per_candidate_rough, random_pst, scan_min_column_counts)
+from pdrplan.chip import ChipModel, ResourceVector, builtin_xc7vx485t, load_chip
+from pdrplan.explore import (RoughEvaluator, apply_candidate,
+                             enumerate_insertions, initial_solution)
+from pdrplan.pst import CostWeights, evaluate, pack, schedule
+from pdrplan.report import prepare_instance
+from pdrplan.shapes import Shape, ShapeGenConfig
 from pdrplan.solio import parse_solution, write_solution
-from pdrplan.taskgraph import Edge, TaskGraph, TaskModule, parse_graph
+from pdrplan.taskgraph import (Edge, TaskGraph, TaskModule, generate,
+                               parse_graph, preset_spec)
 
 CHIP = builtin_xc7vx485t()
 FAST = settings(max_examples=100, deadline=None)
@@ -56,3 +64,84 @@ def test_solution_write_parse_round_trip(n, seed):
     assert parsed_shapes == shapes
     again = evaluate(parsed_pst, parsed_shapes, g, CHIP, w)
     assert write_solution(again) == text
+
+
+@FAST
+@given(graphs(), st.integers(0, 2**32 - 1))
+def test_schedule_lower_bounds(g, seed):
+    """makespan >= critical path and >= total configuration time."""
+    modules = [TaskModule(m.id, m.demand, m.exec_time, m.conf_time or 0.0)
+               for m in g.modules]
+    g = TaskGraph(modules, g.edges)
+    pst = layered_pst(random.Random(seed), g)
+    makespan = schedule(pst, g).makespan
+    for bound in (g.critical_path_time(), sum(m.conf_time for m in modules)):
+        assert makespan >= bound * (1 - 1e-12)
+
+
+@FAST
+@given(st.integers(1, 30), st.integers(1, 5), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_layered_pack_equals_module_level_pack(n, regions, layers, seed):
+    rng = random.Random(seed)
+    ids = [f"m{i}" for i in range(n)]
+    pst = random_pst(rng, ids, max_regions=regions, max_layers=layers)
+    shapes = {m: Shape(rng.randint(1, 60), 5 * rng.randint(1, 20))
+              for m in ids}
+    got = pack(pst, shapes, CHIP)
+    want = module_level_pack(pst, shapes, CHIP)
+    assert got == want
+    assert list(got.coords) == list(want.coords)
+    assert list(got.region_boxes) == list(want.region_boxes)
+
+
+@functools.lru_cache(maxsize=None)
+def preset_instance(name):
+    g = generate(preset_spec(name, seed=0))
+    return prepare_instance(g, CHIP, ShapeGenConfig(), 0.001)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["t10-1", "t10-2", "t30-1", "t30-3"]),
+       st.integers(0, 2**32 - 1))
+def test_class_scores_equal_per_candidate_scores(name, seed):
+    """Every candidate of a random move gets the per-candidate (shape, score)."""
+    g, lists = preset_instance(name)
+    rng = random.Random(seed)
+    pst = initial_solution(g, lists, CHIP)
+    shapes = {m: lists[m].min_area_shape() for m in g.module_ids}
+    ids = list(g.module_ids)
+    for _ in range(rng.randint(0, 20)):  # walk to a multi-region state
+        m = rng.choice(ids)
+        without = pst.without(m)
+        cand = rng.choice(enumerate_insertions(without, m, g))
+        pst = apply_candidate(without, m, cand)
+        shapes[m] = rng.choice(lists[m].shapes)
+    m = rng.choice(ids)
+    without = pst.without(m)
+    w = CostWeights().resolve(g, CHIP)
+    ev = RoughEvaluator(without, shapes, g, CHIP, w, m)
+    for cand in enumerate_insertions(without, m, g):
+        assert ev.evaluate(cand, lists[m]) == per_candidate_rough(
+            ev, cand, lists[m])
+
+
+@FAST
+@given(st.integers(1, 40), st.data())
+def test_min_column_counts_equal_offset_scan(width, data):
+    cols = data.draw(st.lists(st.integers(1, width), unique=True))
+    split = data.draw(st.integers(0, len(cols)))
+    chip = ChipModel(width=width, height=20, bram_cols=frozenset(cols[:split]),
+                     dsp_cols=frozenset(cols[split:]), clb_rows_per_col=20,
+                     macro_rows_per_col=4, quantum=5)
+    for w in range(1, width + 1):
+        assert chip.min_column_counts(w) == scan_min_column_counts(chip, w)
+
+
+def test_min_column_counts_on_builtin_and_loaded_chips(tmp_path):
+    path = tmp_path / "chip.txt"
+    path.write_text("width 30\nheight 60\nquantum 5\nmacro_rows 24\n"
+                    "bram_cols 1,4,12,13,30\ndsp_cols 8,16,17,25\n")
+    for chip in (CHIP, load_chip(path)):
+        for w in range(1, chip.width + 1):
+            assert chip.min_column_counts(w) == scan_min_column_counts(chip, w)

@@ -58,3 +58,18 @@ def test_comments_ignored(chip):
     text = "# produced by a test\n" + write_solution(sol)
     pst, _, _ = parse_solution(text)
     assert pst == sol.pst
+
+
+@pytest.mark.parametrize("extra, lineno, what", [
+    ("place m1 region=0 layer=0 x=1 y=1 w=146 h=350\n", 8,
+     "second place line for module m1"),
+    ("ps m1 m2 m3\n", 8, "second ps line"),
+    ("qs m1 m2 m3\n", 8, "second qs line"),
+    ("rs 0.0 1.0\n", 8, "second rs line"),
+])
+def test_rejects_repeated_lines(chip, extra, lineno, what):
+    _, sol = sample_solution(chip)
+    text = write_solution(sol)
+    assert len(text.splitlines()) == lineno - 1
+    with pytest.raises(InputFileError, match=f"plan.txt:{lineno}: {what}"):
+        parse_solution(text + extra, source="plan.txt")
