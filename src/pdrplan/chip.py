@@ -2,7 +2,7 @@
 
 The device is a grid of resource columns.  CLB columns carry one tile per
 row; BRAM and DSP columns carry fewer, taller tiles (``macro_rows_per_col``
-over a full column of ``clb_rows_per_col`` rows).  Every rectangle height
+over a full column of ``height`` rows).  Every rectangle height
 and vertical coordinate is a multiple of ``quantum`` rows, which keeps
 macro-tile counts exact integers and independent of the rectangle's
 vertical position.
@@ -83,7 +83,6 @@ class ChipModel:
     height: int
     bram_cols: frozenset
     dsp_cols: frozenset
-    clb_rows_per_col: int
     macro_rows_per_col: int
     quantum: int
     _bram_prefix: tuple = field(init=False, repr=False, compare=False)
@@ -116,11 +115,11 @@ class ChipModel:
             raise ValueError("chip must have positive width and height")
         if self.quantum < 1 or self.height % self.quantum != 0:
             raise ValueError("quantum must be positive and divide the chip height")
-        if not (1 <= self.macro_rows_per_col <= self.clb_rows_per_col):
-            raise ValueError("macro_rows_per_col must be in [1, clb_rows_per_col]")
-        # Macro-tile pitch (clb_rows_per_col / macro_rows_per_col CLB rows per
-        # macro tile) must divide quantum so aligned windows hold whole tiles.
-        if (self.quantum * self.macro_rows_per_col) % self.clb_rows_per_col != 0:
+        if not (1 <= self.macro_rows_per_col <= self.height):
+            raise ValueError("macro_rows_per_col must be in [1, height]")
+        # Macro-tile pitch (height / macro_rows_per_col CLB rows per macro
+        # tile) must divide quantum so aligned windows hold whole tiles.
+        if (self.quantum * self.macro_rows_per_col) % self.height != 0:
             raise ValueError("macro-tile pitch does not divide the quantum")
         for name, cols in (("bram_cols", self.bram_cols), ("dsp_cols", self.dsp_cols)):
             for x in cols:
@@ -136,7 +135,7 @@ class ChipModel:
         """Macro tiles (BRAM/DSP) in an h-row quantum-aligned span."""
         if h % self.quantum != 0:
             raise ValueError(f"height {h} not a multiple of quantum {self.quantum}")
-        return h * self.macro_rows_per_col // self.clb_rows_per_col
+        return h * self.macro_rows_per_col // self.height
 
     def column_counts(self, x: int, w: int) -> tuple[int, int, int]:
         """(CLB, BRAM, DSP) column counts in the span [x, x+w-1]."""
@@ -201,7 +200,6 @@ def builtin_xc7vx485t() -> ChipModel:
         height=350,
         bram_cols=frozenset(XC7VX485T_BRAM_COLS),
         dsp_cols=frozenset(XC7VX485T_DSP_COLS),
-        clb_rows_per_col=350,
         macro_rows_per_col=140,
         quantum=5,
     )
@@ -246,7 +244,6 @@ def parse_chip(text: str, source: str = "<chip>") -> ChipModel:
             height=values["height"],
             bram_cols=values.get("bram_cols", frozenset()),
             dsp_cols=values.get("dsp_cols", frozenset()),
-            clb_rows_per_col=values["height"],
             macro_rows_per_col=values["macro_rows"],
             quantum=values["quantum"],
         )

@@ -22,13 +22,18 @@ from .chip import ChipModel
 from .errors import InfeasibleModuleError
 # schedule is unused here but stays importable as explore.schedule, one of
 # the names planbench/tracing.py wraps.
-from .pst import (CostWeights, PST, block_spans, evaluate, pack, schedule,
-                  validate)
+from .pst import CostWeights, PST, evaluate, pack, region_offsets, schedule
 from .shapes import Shape, ShapeList
 from .taskgraph import TaskGraph
 
 # exp(-median/T0) = 0.8 fixes the probe-derived starting temperature.
 _PROBE_ACCEPT = -math.log(0.8)
+# Probe moves that set the starting temperature.
+PROBE_MOVES = 100
+# Insertion points sampled per move before rough scoring.
+MAX_CANDIDATES = 96
+# Rough-ranked insertion points re-costed exactly per move.
+ROUGH_KEEP_K = 5
 
 
 @dataclass(frozen=True)
@@ -36,30 +41,26 @@ class SAConfig:
     """Annealing schedule and move-evaluation parameters.
 
     None values are resolved per instance: the initial temperature from
-    100 probe moves (median uphill cost accepted with probability 0.8),
-    iterations_per_temperature as max(16, 2 x modules), min_temperature
-    as 1e-3 x initial.  time_limit bounds the probe moves as well as the
-    annealing proper.
+    PROBE_MOVES probe moves (median uphill cost accepted with probability
+    0.8), iterations_per_temperature as max(16, 2 x modules),
+    min_temperature as 1e-3 x initial.  time_limit bounds the probe moves
+    as well as the annealing proper.  Each move samples at most
+    MAX_CANDIDATES insertion points and re-costs the ROUGH_KEEP_K with the
+    best rough scores exactly.
     """
 
     initial_temperature: float | None = None
     cooling_rate: float = 0.9
     iterations_per_temperature: int | None = None
     min_temperature: float | None = None
-    rough_keep_k: int = 5
     restarts: int = 1
     seed: int = 0
     weights: CostWeights = field(default_factory=CostWeights)
-    max_candidates: int = 96
-    probe_moves: int = 100
     time_limit: float | None = None
-    validate_every_step: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.cooling_rate < 1.0:
             raise ValueError("cooling_rate must be in (0, 1)")
-        if self.rough_keep_k < 1:
-            raise ValueError("rough_keep_k must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if (self.iterations_per_temperature is not None
@@ -141,11 +142,8 @@ def enumerate_insertions(pst: PST, m: str, g: TaskGraph | None = None) -> list:
     """
     if m in pst.partition:
         raise ValueError(f"module {m} must be deleted before reinsertion")
-    part = pst.partition
-    layer_ps = block_spans(part[x] for x in pst.ps)
-    layer_qs = block_spans(part[x] for x in pst.qs)
-    region_ps = block_spans(part[x][0] for x in pst.ps)
-    region_qs = block_spans(part[x][0] for x in pst.qs)
+    layer_ps, layer_qs = pst.layer_spans
+    region_ps, region_qs = pst.region_spans
     rs_index = {key: i for i, key in enumerate(pst.rs)}
 
     max_pred, min_succ = -1, len(pst.rs)
@@ -207,11 +205,15 @@ class RoughEvaluator:
     """Rough scores for the insertion candidates of one deleted module.
 
     The area estimate treats each region as a rigid block: the candidate
-    only resizes its target region, so the whole-design extents become
-    max(A, B + size) with A/B cached per region from one longest-path
-    sweep over the region-level relation graph.  The schedule estimate
-    runs the configuration recurrence at layer granularity, ignoring
-    cross-layer execution dependencies.
+    only resizes its target region r, so in r's size s each design extent
+    is max(A, B + s).  A is the longest region-level path that avoids r,
+    and B the longest path into r plus the longest path out of it.  The
+    region relations are transitive, so every path through r has a
+    shortcut around it and A >= B.  Two calls of the shared region
+    longest path (pst.region_offsets) therefore give A and B exactly: with
+    s = 0 the extent is A, and with s = A it is A + B.  The schedule
+    estimate runs the configuration recurrence at layer granularity,
+    ignoring cross-layer execution dependencies.
 
     Each estimate depends on a few fields of a candidate only, so it is
     computed once per class of candidates and shared by the class.  The
@@ -266,77 +268,28 @@ class RoughEvaluator:
             state = _recurrence(*state, (step,))
         self._prefix.append(state)
 
-        # Region-level relation edges, from block order in ps and qs.
-        # Horizontal edges run along ps block order, vertical ones along qs.
-        region_ps = block_spans(pst.partition[x][0] for x in pst.ps)
-        region_qs = block_spans(pst.partition[x][0] for x in pst.qs)
-        self.regions = sorted(region_ps)
-        self.order_ps = sorted(self.regions, key=lambda r: region_ps[r][0])
-        self.order_qs = sorted(self.regions, key=lambda r: region_qs[r][0])
-        self.h_edges = []  # (a, b): a left of b
-        self.v_edges = []  # (a, b): a below b
-        for a in self.regions:
-            for b in self.regions:
-                if a == b:
-                    continue
-                if (region_ps[a][1] < region_ps[b][0]
-                        and region_qs[a][1] < region_qs[b][0]):
-                    self.h_edges.append((a, b))
-                elif (region_ps[a][0] > region_ps[b][1]
-                        and region_qs[a][1] < region_qs[b][0]):
-                    self.v_edges.append((a, b))
-        self._extent_cache: dict = {}
+        self._extent_cache: dict = {}  # region -> (A_x, B_x, A_y, B_y)
         self._others: dict = {}  # region -> _top_two of widths, of heights
         self._shape_list = None
         self._fits: dict = {}  # target -> (shape, weighted area term)
         self._sched_terms: dict = {}  # (layer, new_layer, rs_pos) -> term
 
-    def _extent_coeffs(self, r, edges, sizes, order):
-        """(A, B) such that the extent as a function of r's size is max(A, B + size).
-
-        a_of[s]: longest entry path into s over chains avoiding r;
-        d_of[s]: longest chain from r's exit into s;  processing follows
-        the topological block order, so one sweep suffices.
-        """
-        preds: dict = {s: [] for s in self.regions}
-        for a, b in edges:
-            preds[b].append(a)
-        a_of: dict = {}
-        d_of: dict = {}
-        for s in order:
-            best_a = 0.0
-            best_d = -math.inf
-            if s != r:
-                for p in preds[s]:
-                    if p == r:
-                        best_d = max(best_d, 0.0)
-                        continue
-                    best_a = max(best_a, a_of[p] + sizes[p])
-                    if d_of[p] > -math.inf:
-                        best_d = max(best_d, d_of[p] + sizes[p])
-            a_of[s] = best_a
-            d_of[s] = best_d
-        best_a_r = 0.0
-        for p in preds[r]:
-            best_a_r = max(best_a_r, a_of[p] + sizes[p])
-        A = 0.0
-        through = 0.0
-        for s in self.regions:
-            if s == r:
-                continue
-            A = max(A, a_of[s] + sizes[s])
-            if d_of[s] > -math.inf:
-                through = max(through, d_of[s] + sizes[s])
-        return A, best_a_r + through
+    def _extents(self, r, size_x, size_y):
+        """Design extents with region r resized to size_x by size_y."""
+        width = dict(self.region_w)
+        height = dict(self.region_h)
+        width[r], height[r] = size_x, size_y
+        off_x, off_y = region_offsets(*self.pst.region_spans, width, height)
+        return (max(off_x[a] + width[a] for a in off_x),
+                max(off_y[a] + height[a] for a in off_y))
 
     def _region_coeffs(self, r):
-        if r not in self._extent_cache:
-            ax, bx = self._extent_coeffs(r, self.h_edges, self.region_w,
-                                         self.order_ps)
-            ay, by = self._extent_coeffs(r, self.v_edges, self.region_h,
-                                         self.order_qs)
-            self._extent_cache[r] = (ax, bx, ay, by)
-        return self._extent_cache[r]
+        coeffs = self._extent_cache.get(r)
+        if coeffs is None:
+            ax, ay = self._extents(r, 0, 0)
+            x, y = self._extents(r, ax, ay)
+            coeffs = self._extent_cache[r] = (ax, x - ax, ay, y - ay)
+        return coeffs
 
     def _other_layers(self, key):
         """Largest width and height among the other layers of key's region.
@@ -527,20 +480,20 @@ class _Chain:
         m = self.rng.choice(self.ids)
         without = self.pst.without(m)
         cands = enumerate_insertions(without, m, self.g)
-        if len(cands) > self.cfg.max_candidates:
-            cands = self.rng.sample(cands, self.cfg.max_candidates)
+        if len(cands) > MAX_CANDIDATES:
+            cands = self.rng.sample(cands, MAX_CANDIDATES)
         rough = RoughEvaluator(without, self.shapes, self.g, self.chip,
                                self.w, m)
         for cand in cands:
             cand.shape, cand.score = rough.evaluate(cand, self.lists[m])
         cands.sort(key=lambda c: c.score)
-        return m, without, cands[:self.cfg.rough_keep_k]
+        return m, without, cands[:ROUGH_KEEP_K]
 
     def initial_temperature(self):
         if self.cfg.initial_temperature is not None:
             return self.cfg.initial_temperature
         deltas = []
-        for _ in range(self.cfg.probe_moves):
+        for _ in range(PROBE_MOVES):
             if self._past_deadline():
                 break
             m, without, top = self._random_move()
@@ -570,10 +523,6 @@ class _Chain:
                 m, without, top = self._random_move()
                 new_pst, new_shapes, cost, _ = accurate_evaluate(
                     without, m, top, self.shapes, self.g, self.chip, self.w)
-                if self.cfg.validate_every_step:
-                    problems = validate(new_pst, self.g)
-                    if problems:
-                        raise AssertionError(f"invalid move: {problems}")
                 self._track(new_pst, new_shapes, cost)
                 if accept_move(cost.total - self.cost.total, t, self.rng):
                     self.pst, self.shapes, self.cost = new_pst, new_shapes, cost

@@ -16,8 +16,10 @@ modules into reconfigurable regions and time layers:
 Packing evaluates the filtered sequence-pair relations by longest paths,
 as in plain sequence-pair floorplanning, but one layer at a time: since
 regions relate uniformly and layers of one region not at all, a module's
-longest path is its region's offset (a longest path over the region-level
-relations) plus its position inside its own layer.
+longest path is its region's offset plus its position inside its own
+layer.  The region offsets come from one longest path over the
+region-level relations, region_offsets, which pack and the rough scoring
+in explore both call.
 """
 
 from __future__ import annotations
@@ -27,9 +29,6 @@ from functools import cached_property
 
 from .chip import ChipModel, Rect, ResourceVector
 from .taskgraph import TaskGraph
-
-# A time layer is identified by (region id, layer id within the region).
-LayerKey = tuple
 
 
 @dataclass(frozen=True)
@@ -63,11 +62,19 @@ class PST:
             out.setdefault(key[0], []).append(key)
         return out
 
-    def region_of(self, m: str) -> int:
-        return self.partition[m][0]
+    @cached_property
+    def layer_spans(self) -> tuple:
+        """(ps spans, qs spans) of the layer blocks, see block_spans."""
+        part = self.partition
+        return (block_spans(part[m] for m in self.ps),
+                block_spans(part[m] for m in self.qs))
 
-    def layer_of(self, m: str) -> LayerKey:
-        return self.partition[m]
+    @cached_property
+    def region_spans(self) -> tuple:
+        """(ps spans, qs spans) of the region blocks, see block_spans."""
+        part = self.partition
+        return (block_spans(part[m][0] for m in self.ps),
+                block_spans(part[m][0] for m in self.qs))
 
     def without(self, m: str) -> "PST":
         """Copy with module m deleted; an emptied layer leaves rs."""
@@ -163,17 +170,52 @@ def block_spans(keys) -> dict:
     return spans
 
 
+def region_offsets(ps_span: dict, qs_span: dict, width: dict,
+                   height: dict) -> tuple:
+    """x and y offsets of every region: the region-level longest path.
+
+    ps_span and qs_span are the region blocks' [first, last] indices in ps
+    and qs (PST.region_spans); width and height give each region's size.
+    Region a is left of b when a's block precedes b's in both sequences,
+    and below b when it follows b's in ps but precedes it in qs.  Regions
+    are visited in ps order for x and in qs order for y, which puts every
+    predecessor first.  Returns (off_x, off_y), dicts in those two orders.
+    """
+    off_x: dict = {}
+    for r in ps_span:
+        first_q = qs_span[r][0]
+        x = 0
+        for a, xa in off_x.items():
+            if qs_span[a][1] < first_q:
+                xa += width[a]
+                if xa > x:
+                    x = xa
+        off_x[r] = x
+    off_y: dict = {}
+    for r in qs_span:
+        last_p = ps_span[r][1]
+        y = 0
+        for a, ya in off_y.items():
+            if ps_span[a][0] > last_p:
+                ya += height[a]
+                if ya > y:
+                    y = ya
+        off_y[r] = y
+    return off_x, off_y
+
+
 def pack(pst: PST, shapes: dict, chip: ChipModel) -> Placement:
     """Longest-path evaluation of the filtered sequence pair, by layer.
 
     Every module of a region is related to every module of another region
     in the same way, because region blocks are contiguous in ps and qs,
     while layers of one region constrain nothing across each other.  The
-    longest path into a module is therefore its region's offset (a longest
-    path over the region-level relations, each region as wide and tall as
-    its largest layer) plus its position from plain sequence-pair packing
-    of its own layer alone.  This is the module-level longest path over
-    the filtered relation graph, evaluated in pieces.
+    longest path into a module is therefore its region's offset plus its
+    position from plain sequence-pair packing of its own layer alone.  The
+    offsets are the shared region longest path, region_offsets, with each
+    region as wide and tall as its largest layer.  This is the
+    module-level longest path over the filtered relation graph, evaluated
+    in pieces.
 
     The PST must be structurally valid (see validate): the decomposition
     rests on contiguous region and layer blocks.  Packing always succeeds;
@@ -227,28 +269,7 @@ def pack(pst: PST, shapes: dict, chip: ChipModel) -> Placement:
         if lh > region_h.get(region, 0):
             region_h[region] = lh
 
-    ps_span = block_spans(part[m][0] for m in ps)
-    qs_span = block_spans(part[m][0] for m in qs)
-    off_x: dict = {}
-    for r in ps_span:
-        first_q = qs_span[r][0]
-        x = 0
-        for a, xa in off_x.items():
-            if qs_span[a][1] < first_q:
-                xa += region_w[a]
-                if xa > x:
-                    x = xa
-        off_x[r] = x
-    off_y: dict = {}
-    for r in qs_span:
-        last_p = ps_span[r][1]
-        y = 0
-        for a, ya in off_y.items():
-            if ps_span[a][0] > last_p:
-                ya += region_h[a]
-                if ya > y:
-                    y = ya
-        off_y[r] = y
+    off_x, off_y = region_offsets(*pst.region_spans, region_w, region_h)
 
     coords = {}
     for m in ps:
@@ -257,9 +278,9 @@ def pack(pst: PST, shapes: dict, chip: ChipModel) -> Placement:
         coords[m] = Rect(off_x[r] + local_x[m] + 1, off_y[r] + local_y[m] + 1,
                          shape.w, shape.h)
     region_boxes = {r: Rect(off_x[r] + 1, off_y[r] + 1, region_w[r], region_h[r])
-                    for r in ps_span}
-    x_max = max((off_x[r] + region_w[r] for r in ps_span), default=0)
-    y_max = max((off_y[r] + region_h[r] for r in ps_span), default=0)
+                    for r in off_x}
+    x_max = max((off_x[r] + region_w[r] for r in off_x), default=0)
+    y_max = max((off_y[r] + region_h[r] for r in off_x), default=0)
     return Placement(coords=coords, region_boxes=region_boxes,
                      x_max=x_max, y_max=y_max)
 
@@ -350,6 +371,16 @@ def schedule(pst: PST, g: TaskGraph) -> ScheduleResult:
 # ----------------------------------------------------------------------
 # costs
 
+# Normalizer of the heterogeneous-utilisation term (its value when one
+# region covers the whole chip).
+HETERO_NORM = 3.0
+# Area-term penalty per unit of overflow, the overflow being the fraction
+# of the chip width plus the fraction of its height that the design exceeds.
+BOUNDARY_PENALTY = 10.0
+# Hetero contribution of a resource kind that no region uses.
+HETERO_SENTINEL = 1000.0
+
+
 @dataclass(frozen=True)
 class CostWeights:
     """Weights and normalizers of the combined cost.
@@ -357,6 +388,7 @@ class CostWeights:
     Normalizers left as None are derived from the instance by resolve():
     area by the chip area, schedule by critical path + total configuration
     time, communication by total edge weight times the chip half-perimeter.
+    The hetero term is always divided by HETERO_NORM.
     """
 
     alpha: float = 1.0
@@ -366,15 +398,12 @@ class CostWeights:
     area_norm: float | None = None
     schedule_norm: float | None = None
     comm_norm: float | None = None
-    hetero_norm: float = 3.0
-    boundary_penalty: float = 10.0
-    hetero_sentinel: float = 1000.0
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma_comm", "lambda_"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in ("area_norm", "schedule_norm", "comm_norm", "hetero_norm"):
+        for name in ("area_norm", "schedule_norm", "comm_norm"):
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError(f"{name} must be > 0")
@@ -424,11 +453,12 @@ def _clip_to_chip(rect: Rect, chip: ChipModel):
     return Rect(x1, y1, x2 - x1 + 1, y2 - y1 + 1)
 
 
-def hetero_cost(p: Placement, chip: ChipModel, sentinel: float = 1000.0) -> float:
+def hetero_cost(p: Placement, chip: ChipModel) -> float:
     """Chip resources divided by region-used resources, summed per kind.
 
     Regions hanging off the chip are clipped to it before counting; a kind
-    no region uses contributes the sentinel instead of a division by zero.
+    no region uses contributes HETERO_SENTINEL instead of a division by
+    zero.
     """
     used = ResourceVector()
     for box in p.region_boxes.values():
@@ -438,7 +468,7 @@ def hetero_cost(p: Placement, chip: ChipModel, sentinel: float = 1000.0) -> floa
     have = chip.capacity()
     total = 0.0
     for have_k, use_k in zip(have.as_tuple(), used.as_tuple()):
-        total += have_k / use_k if use_k > 0 else sentinel
+        total += have_k / use_k if use_k > 0 else HETERO_SENTINEL
     return total
 
 
@@ -462,12 +492,12 @@ def cost_from_parts(p: Placement, s: ScheduleResult, g: TaskGraph,
     """Cost terms for an already packed and scheduled solution."""
     overflow = (max(0, p.x_max - chip.width) / chip.width
                 + max(0, p.y_max - chip.height) / chip.height)
-    cost_area = (p.x_max * p.y_max) / w.area_norm + w.boundary_penalty * overflow
+    cost_area = (p.x_max * p.y_max) / w.area_norm + BOUNDARY_PENALTY * overflow
     cost_schedule = s.makespan / w.schedule_norm
     raw_comm = comm_cost(p, g)
     cost_comm = raw_comm / w.comm_norm
-    raw_hetero = hetero_cost(p, chip, w.hetero_sentinel)
-    cost_hetero = raw_hetero / w.hetero_norm
+    raw_hetero = hetero_cost(p, chip)
+    cost_hetero = raw_hetero / HETERO_NORM
     total = (w.alpha * cost_area + w.beta * cost_schedule
              + w.gamma_comm * cost_comm + w.lambda_ * cost_hetero)
     return CostBreakdown(
@@ -481,7 +511,7 @@ def cost_from_parts(p: Placement, s: ScheduleResult, g: TaskGraph,
         hetero_raw=raw_hetero,
         x_max=p.x_max,
         y_max=p.y_max,
-        feasible=p.x_max <= chip.width and p.y_max <= chip.height,
+        feasible=is_feasible(p, chip),
     )
 
 

@@ -99,13 +99,13 @@ def min_height_for_width(module: TaskModule, chip: ChipModel, w: int):
         if mc == 0:
             return None
         h = max(h, _ceil_div(d.clb, mc))
-    # A macro column provides macro_rows/clb_rows tiles per row.
+    # A macro column provides macro_rows/height tiles per row.
     for need, cols in ((d.bram, mb), (d.dsp, md)):
         if need:
             if cols == 0:
                 return None
             tiles = _ceil_div(need, cols)
-            h = max(h, _ceil_div(tiles * chip.clb_rows_per_col, chip.macro_rows_per_col))
+            h = max(h, _ceil_div(tiles * chip.height, chip.macro_rows_per_col))
     h = _ceil_div(h, chip.quantum) * chip.quantum
     return h if h <= chip.height else None
 

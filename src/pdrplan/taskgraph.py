@@ -161,9 +161,6 @@ class TaskGraph:
             finish[mid] = start + self.module(mid).exec_time
         return max(finish.values(), default=0.0)
 
-    def total_exec_time(self) -> float:
-        return sum(m.exec_time for m in self.modules)
-
     def total_edge_weight(self) -> float:
         return sum(e.weight for e in self.edges)
 

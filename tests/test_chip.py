@@ -13,7 +13,7 @@ def chip():
 def brute_force_window(chip, rect):
     """Per-tile oracle: walk every column and count tiles by kind."""
     clb = bram = dsp = 0
-    mt = rect.h * chip.macro_rows_per_col // chip.clb_rows_per_col
+    mt = rect.h * chip.macro_rows_per_col // chip.height
     for x in range(rect.x, rect.x + rect.w):
         if x in chip.bram_cols:
             bram += mt
@@ -180,5 +180,4 @@ dsp_cols 4,12
     def test_overlapping_kinds_rejected(self):
         with pytest.raises(ValueError):
             ChipModel(width=4, height=10, bram_cols=frozenset({2}),
-                      dsp_cols=frozenset({2}), clb_rows_per_col=10,
-                      macro_rows_per_col=4, quantum=5)
+                      dsp_cols=frozenset({2}), macro_rows_per_col=4, quantum=5)

@@ -5,10 +5,12 @@ import time
 import pytest
 
 from helpers import exact_rough_evaluate, make_graph
+from pdrplan import explore
 from pdrplan.chip import builtin_xc7vx485t
-from pdrplan.explore import (Candidate, RoughEvaluator, SAConfig, accept_move,
-                             accurate_evaluate, anneal, apply_candidate,
-                             enumerate_insertions, initial_solution)
+from pdrplan.explore import (PROBE_MOVES, Candidate, RoughEvaluator, SAConfig,
+                             accept_move, accurate_evaluate, anneal,
+                             apply_candidate, enumerate_insertions,
+                             initial_solution)
 from pdrplan.pst import CostWeights, evaluate, pack, schedule, validate
 from pdrplan.report import prepare_instance
 from pdrplan.shapes import Shape, ShapeGenConfig, ShapeList, generate_all
@@ -249,11 +251,21 @@ class TestAnneal:
         assert a.shapes == b.shapes
         assert trace_a == trace_b
 
-    def test_validated_moves_on_small_instance(self, chip):
+    def test_validated_moves_on_small_instance(self, chip, monkeypatch):
+        """The winner of every move, probe moves included, is a valid PST."""
         g, lists = t10_instance(9, chip)
-        cfg = SAConfig(seed=2, cooling_rate=0.5, iterations_per_temperature=8,
-                       validate_every_step=True)
+        winners = []
+
+        def validating(*args):
+            best = accurate_evaluate(*args)
+            assert validate(best[0], g) == []
+            winners.append(best[0])
+            return best
+
+        monkeypatch.setattr(explore, "accurate_evaluate", validating)
+        cfg = SAConfig(seed=2, cooling_rate=0.5, iterations_per_temperature=8)
         sol, _ = anneal(g, lists, chip, cfg)
+        assert len(winners) > PROBE_MOVES
         assert validate(sol.pst, g) == []
 
     def test_time_limit_covers_probe_moves(self, chip):

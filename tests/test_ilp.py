@@ -20,7 +20,6 @@ def toy_chip(width=40, height=60):
     return ChipModel(width=width, height=height,
                      bram_cols=frozenset(x for x in (3, 17) if x <= width),
                      dsp_cols=frozenset(x for x in (9, 25) if x <= width),
-                     clb_rows_per_col=height,
                      macro_rows_per_col=height // 5 * 2, quantum=5)
 
 
@@ -310,7 +309,7 @@ class TestExportLP:
                  "m2": ShapeList("m2", (Shape(4, 5),)),
                  "m3": ShapeList("m3", (Shape(3, 10),))}
         toy = ChipModel(width=20, height=60, bram_cols=frozenset({4}),
-                        dsp_cols=frozenset({8}), clb_rows_per_col=60,
+                        dsp_cols=frozenset({8}),
                         macro_rows_per_col=24, quantum=5)
         assert export_lp(build_model(pst, lists, toy)) == PINNED_LP
 

@@ -1,6 +1,7 @@
 """Property tests: the text formats round-trip, schedules respect their
-lower bounds, and the optimised packing, rough scoring and chip window
-counts agree with the plain reference versions in helpers.py."""
+lower bounds, the optimised packing, rough scoring and chip window counts
+agree with the plain reference versions in helpers.py, and the rough
+extents of a fresh layer or region equal those of a full pack."""
 
 import functools
 import random
@@ -101,17 +102,16 @@ def preset_instance(name):
     return prepare_instance(g, CHIP, ShapeGenConfig(), 0.001)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["t10-1", "t10-2", "t30-1", "t30-3"]),
-       st.integers(0, 2**32 - 1))
-def test_class_scores_equal_per_candidate_scores(name, seed):
-    """Every candidate of a random move gets the per-candidate (shape, score)."""
+def random_move(name, seed):
+    """A random move's deleted module on a preset instance, after a random
+    walk to a (usually) multi-region state: (g, lists, without, shapes,
+    module, RoughEvaluator of the move)."""
     g, lists = preset_instance(name)
     rng = random.Random(seed)
     pst = initial_solution(g, lists, CHIP)
     shapes = {m: lists[m].min_area_shape() for m in g.module_ids}
     ids = list(g.module_ids)
-    for _ in range(rng.randint(0, 20)):  # walk to a multi-region state
+    for _ in range(rng.randint(0, 20)):
         m = rng.choice(ids)
         without = pst.without(m)
         cand = rng.choice(enumerate_insertions(without, m, g))
@@ -121,9 +121,35 @@ def test_class_scores_equal_per_candidate_scores(name, seed):
     without = pst.without(m)
     w = CostWeights().resolve(g, CHIP)
     ev = RoughEvaluator(without, shapes, g, CHIP, w, m)
+    return g, lists, without, shapes, m, ev
+
+
+MOVES = settings(max_examples=30, deadline=None)
+PRESETS = st.sampled_from(["t10-1", "t10-2", "t30-1", "t30-3"])
+
+
+@MOVES
+@given(PRESETS, st.integers(0, 2**32 - 1))
+def test_class_scores_equal_per_candidate_scores(name, seed):
+    """Every candidate of a random move gets the per-candidate (shape, score)."""
+    g, lists, without, _, m, ev = random_move(name, seed)
     for cand in enumerate_insertions(without, m, g):
         assert ev.evaluate(cand, lists[m]) == per_candidate_rough(
             ev, cand, lists[m])
+
+
+@MOVES
+@given(PRESETS, st.integers(0, 2**32 - 1))
+def test_fresh_target_extents_equal_pack(name, seed):
+    """A fresh layer or region gets the extents pack gives the applied PST."""
+    g, lists, without, shapes, m, ev = random_move(name, seed)
+    for cand in enumerate_insertions(without, m, g):
+        if not cand.new_layer:
+            continue
+        applied = apply_candidate(without, m, cand)
+        for shape in lists[m].shapes:
+            p = pack(applied, {**shapes, m: shape}, CHIP)
+            assert ev._approx_extents(cand, shape) == (p.x_max, p.y_max)
 
 
 @FAST
@@ -132,7 +158,7 @@ def test_min_column_counts_equal_offset_scan(width, data):
     cols = data.draw(st.lists(st.integers(1, width), unique=True))
     split = data.draw(st.integers(0, len(cols)))
     chip = ChipModel(width=width, height=20, bram_cols=frozenset(cols[:split]),
-                     dsp_cols=frozenset(cols[split:]), clb_rows_per_col=20,
+                     dsp_cols=frozenset(cols[split:]),
                      macro_rows_per_col=4, quantum=5)
     for w in range(1, width + 1):
         assert chip.min_column_counts(w) == scan_min_column_counts(chip, w)

@@ -6,8 +6,9 @@ import pytest
 from helpers import (layered_pst, make_graph, random_pst, rects_overlap,
                      single_layer_pst, uniform_shapes)
 from pdrplan.chip import Rect, ResourceVector, builtin_xc7vx485t
-from pdrplan.pst import (CostWeights, PST, comm_cost, evaluate, hetero_cost,
-                         is_feasible, pack, schedule, validate)
+from pdrplan.pst import (BOUNDARY_PENALTY, CostWeights, PST, comm_cost,
+                         evaluate, hetero_cost, is_feasible, pack, schedule,
+                         validate)
 from pdrplan.shapes import Shape
 from pdrplan.taskgraph import Edge, TaskGraph, TaskModule
 
@@ -272,7 +273,7 @@ class TestHeteroCost:
         from pdrplan.chip import ChipModel
         from pdrplan.pst import Placement
         toy = ChipModel(width=8, height=20, bram_cols=frozenset({2, 6}),
-                        dsp_cols=frozenset({4, 8}), clb_rows_per_col=20,
+                        dsp_cols=frozenset({4, 8}),
                         macro_rows_per_col=8, quantum=5)
         p = Placement(coords={}, region_boxes={0: Rect(1, 1, 8, 10)},
                       x_max=8, y_max=10)
@@ -329,4 +330,4 @@ class TestTotalCost:
         outside = evaluate(pst, {"m1": Shape(74, 5), "m2": Shape(73, 5)},
                            g, chip, w).costs
         assert inside.feasible and not outside.feasible
-        assert outside.total > inside.total + w.boundary_penalty / chip.width / 2
+        assert outside.total > inside.total + BOUNDARY_PENALTY / chip.width / 2

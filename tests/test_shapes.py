@@ -123,7 +123,7 @@ class TestGenerate:
 
     def test_matches_brute_force_on_small_chip(self):
         toy = ChipModel(width=16, height=20, bram_cols=frozenset({2, 6, 10, 14}),
-                        dsp_cols=frozenset({4, 12}), clb_rows_per_col=20,
+                        dsp_cols=frozenset({4, 12}),
                         macro_rows_per_col=8, quantum=5)
         cfg = ShapeGenConfig(n=10, gamma_ar=2.5)
         rng = random.Random(4)
@@ -143,8 +143,7 @@ class TestGenerate:
         # Toy layout where demand (20 CLB, 4 BRAM) admits a narrow/tall
         # 5x10 and a wide/short 8x5 candidate; the smaller-area 8x5 wins.
         toy = ChipModel(width=15, height=20, bram_cols=frozenset({1, 4, 9, 12}),
-                        dsp_cols=frozenset(), clb_rows_per_col=20,
-                        macro_rows_per_col=8, quantum=5)
+                        dsp_cols=frozenset(), macro_rows_per_col=8, quantum=5)
         mod = module(clb=20, bram=4)
         sl = generate(mod, toy, ShapeGenConfig(n=10, gamma_ar=100.0))
         assert Shape(5, 10) in sl.shapes
@@ -155,8 +154,7 @@ class TestGenerate:
         # Narrow tall chip: the only feasible shape is the full-width sliver,
         # whose ratio is far beyond any sane bound.
         toy = ChipModel(width=2, height=100, bram_cols=frozenset({2}),
-                        dsp_cols=frozenset(), clb_rows_per_col=100,
-                        macro_rows_per_col=40, quantum=5)
+                        dsp_cols=frozenset(), macro_rows_per_col=40, quantum=5)
         mod = module(clb=10)
         sl = generate(mod, toy, ShapeGenConfig(n=10, gamma_ar=1.5))
         assert sl.shapes == (Shape(2, 10),)
