@@ -13,8 +13,7 @@ from .pst import (CostBreakdown, CostWeights, Placement, PST, ScheduleResult,
                   pack, schedule, validate)
 from .explore import (Candidate, SAConfig, anneal, enumerate_insertions,
                       initial_solution)
-from .ilp import (ILPModel, ShapeSelection, SolveResult, build_model,
-                  export_lp, solve)
+from .ilp import ILPModel, SolveResult, build_model, export_lp, solve
 from .report import (PipelineConfig, RRT, RunReport, compute_rrt,
                      prepare_instance, run_pipeline)
 from .render import render_svg

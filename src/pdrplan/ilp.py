@@ -26,13 +26,6 @@ from .taskgraph import TaskGraph
 
 
 @dataclass(frozen=True)
-class ShapeSelection:
-    """Chosen shape index per module (a one-hot row per module)."""
-
-    choices: dict  # module id -> index into its shape list
-
-
-@dataclass(frozen=True)
 class ILPModel:
     """Shape-reselection program for a fixed PST.
 
@@ -40,7 +33,7 @@ class ILPModel:
     reads them directly and export_lp derives the LP rows from them.
     """
 
-    modules: tuple  # module ids in sequence order
+    modules: tuple  # module ids in ps order; solve relies on it
     shape_dims: dict  # module id -> tuple of (w, h)
     h_pairs: tuple  # (a, b): x_b >= x_a + w_a
     v_pairs: tuple  # (a, b): y_b >= y_a + h_a
@@ -51,7 +44,7 @@ class ILPModel:
 @dataclass(frozen=True)
 class SolveResult:
     status: str  # 'optimal', 'infeasible' or 'timeout'
-    selection: ShapeSelection | None
+    selection: dict | None  # module id -> index into its shape list
     objective: float | None
     nodes: int
     wall_time: float
@@ -118,35 +111,19 @@ class _Search:
             self.h_preds[self.idx[b]].append(self.idx[a])
         for a, b in model.v_pairs:
             self.v_preds[self.idx[b]].append(self.idx[a])
-        # Longest paths are evaluated in dependency order: horizontal
-        # relations follow ps order (model order); vertical ones need a
-        # topological order of their own.
+        # Longest paths are evaluated in dependency order.  Model order is
+        # ps order: in a horizontal pair (a, b), a comes first in ps; in a
+        # vertical one the lower module a comes later (Murata et al.).  So
+        # model order suits the horizontal relations, its reverse the
+        # vertical ones.
         self.h_order = list(range(self.n))
-        self.v_order = self._topo(self.v_preds)
+        self.v_order = self.h_order[::-1]
         self.deadline = (time.monotonic() + time_limit
                          if time_limit is not None else None)
         self.nodes = 0
         self.best_key = None  # (objective, -total area), maximized
         self.best_choice = None
         self.timed_out = False
-
-    def _topo(self, preds):
-        indeg = [0] * self.n
-        succ = [[] for _ in range(self.n)]
-        for b in range(self.n):
-            for a in preds[b]:
-                indeg[b] += 1
-                succ[a].append(b)
-        ready = [i for i in range(self.n) if indeg[i] == 0]
-        order = []
-        while ready:
-            i = ready.pop()
-            order.append(i)
-            for b in succ[i]:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    ready.append(b)
-        return order
 
     def _extent(self, order, preds, size):
         """Longest-path extent plus a module on the critical path."""
@@ -284,8 +261,8 @@ def solve(model: ILPModel, time_limit: float | None = None) -> SolveResult:
     selection = None
     objective = None
     if search.best_choice is not None:
-        selection = ShapeSelection(
-            {m: search.best_choice[i] for i, m in enumerate(model.modules)})
+        selection = {m: search.best_choice[i]
+                     for i, m in enumerate(model.modules)}
         objective = float(search.best_key[0])
     return SolveResult(status=status, selection=selection, objective=objective,
                        nodes=search.nodes, wall_time=wall)
@@ -354,15 +331,16 @@ def export_lp(model: ILPModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def apply(pst: PST, selection: ShapeSelection, shape_lists: dict,
+def apply(pst: PST, selection: dict, shape_lists: dict,
           g: TaskGraph, chip: ChipModel, weights: CostWeights) -> Solution:
     """Re-pack, re-schedule, and re-cost under the selected shapes.
 
+    selection maps each module id to an index into its shape list.
     The PST is untouched; only shapes change.  A solve() optimum must
     re-pack inside the boundary (the pairwise constraints dominate the
     longest-path recurrence), so a violation here is a solver bug.
     """
-    shapes = {m: shape_lists[m].shapes[j] for m, j in selection.choices.items()}
+    shapes = {m: shape_lists[m].shapes[j] for m, j in selection.items()}
     sol = evaluate(pst, shapes, g, chip, weights)
     if not sol.feasible:
         raise RuntimeError(

@@ -308,13 +308,20 @@ def schedule(pst: PST, g: TaskGraph) -> ScheduleResult:
     Layers are configured in rs order; a layer's configuration waits for
     the port to free up and for the previous layer of the same region to
     finish executing.  A module starts once its layer is configured and
-    all its predecessors have finished.
+    all its predecessors have finished.  A layer's modules are timed in
+    the graph's topological order, so predecessors in the same layer
+    come first.
     """
     rs_set = set(pst.rs)
-    for key in pst.partition.values():
+    part = pst.partition
+    for key in part.values():
         if key not in rs_set:
             raise ValueError(f"schedule: layer {key} missing from rs")
     members = pst.layer_members
+    in_order: dict = {}  # layer key -> its modules in topological order
+    for m in g.topological_order():
+        if m in part:
+            in_order.setdefault(part[m], []).append(m)
     preds = g.predecessors
     config_start: dict = {}
     config_end: dict = {}
@@ -323,7 +330,6 @@ def schedule(pst: PST, g: TaskGraph) -> ScheduleResult:
     layer_exec_end: dict = {}
     region_prev: dict = {}
     port_free = 0.0
-    present = set(pst.partition)
     for key in pst.rs:
         mods = members[key]
         conf_sum = 0.0
@@ -341,28 +347,13 @@ def schedule(pst: PST, g: TaskGraph) -> ScheduleResult:
         config_end[key] = start + conf_sum
         port_free = config_end[key]
         region_prev[region] = key
-
-        # Intra-layer dependencies force a topological sweep within the layer.
-        mods_set = set(mods)
-        remaining = {m: sum(1 for p in preds[m] if p in mods_set) for m in mods}
-        ready = [m for m in mods if remaining[m] == 0]
-        done = 0
-        while ready:
-            m = ready.pop(0)
-            done += 1
+        for m in in_order[key]:
             start_t = config_end[key]
             for p in preds[m]:
-                if p in present:
+                if p in part:
                     start_t = max(start_t, exec_end[p])
             exec_start[m] = start_t
             exec_end[m] = start_t + g.module(m).exec_time
-            for succ in g.successors[m]:
-                if succ in remaining and remaining[succ] > 0:
-                    remaining[succ] -= 1
-                    if remaining[succ] == 0:
-                        ready.append(succ)
-        if done != len(mods):
-            raise ValueError(f"schedule: unresolved intra-layer dependency in {key}")
         layer_exec_end[key] = max(exec_end[m] for m in mods)
     makespan = max(exec_end.values(), default=0.0)
     return ScheduleResult(config_start, config_end, exec_start, exec_end, makespan)

@@ -50,7 +50,9 @@ class TaskGraph:
     """Immutable DAG of task modules with weighted dependency edges.
 
     Parallel edges between the same pair are merged by summing weights,
-    which leaves every cost computed from the graph unchanged.
+    which leaves every cost computed from the graph unchanged.  The
+    topological order is computed once, here; a cycle raises
+    GraphCycleError naming one.
     """
 
     def __init__(self, modules, edges):
@@ -74,45 +76,34 @@ class TaskGraph:
         self.modules = mods
         self.edges = tuple(merged.values())
         self._by_id = by_id
-        cycle = self._find_cycle()
-        if cycle is not None:
-            raise GraphCycleError(cycle)
-
-    def _find_cycle(self):
-        succ = {m.id: [] for m in self.modules}
+        # Kahn's pass, ties broken by declaration order (Kahn, CACM 1962).
+        indeg = {mid: 0 for mid in ids}
         for e in self.edges:
-            succ[e.src].append(e.dst)
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {m.id: WHITE for m in self.modules}
-        parent: dict = {}
-        for root in succ:
-            if color[root] != WHITE:
-                continue
-            stack = [(root, iter(succ[root]))]
-            color[root] = GRAY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if color[nxt] == WHITE:
-                        color[nxt] = GRAY
-                        parent[nxt] = node
-                        stack.append((nxt, iter(succ[nxt])))
-                        advanced = True
-                        break
-                    if color[nxt] == GRAY:
-                        cycle = [nxt]
-                        cur = node
-                        while cur != nxt:
-                            cycle.append(cur)
-                            cur = parent[cur]
-                        cycle.append(nxt)
-                        cycle.reverse()
-                        return cycle
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-        return None
+            indeg[e.dst] += 1
+        ready = [mid for mid in ids if indeg[mid] == 0]
+        order = []
+        while ready:
+            mid = ready.pop(0)
+            order.append(mid)
+            for nxt in self.successors[mid]:
+                indeg[nxt] -= 1
+                if indeg[nxt] == 0:
+                    ready.append(nxt)
+        if len(order) < len(ids):
+            raise GraphCycleError(self._cycle_among(set(ids) - set(order)))
+        self._order = tuple(order)
+
+    def _cycle_among(self, left):
+        """A cycle through the modules Kahn's pass left over.
+
+        Each of them keeps a predecessor among them, so walking
+        predecessors from any one must repeat a module; the walk from
+        that module's first visit on, reversed, is a cycle.
+        """
+        walk = [next(mid for mid in self.module_ids if mid in left)]
+        while walk[-1] not in walk[:-1]:
+            walk.append(next(p for p in self.predecessors[walk[-1]] if p in left))
+        return walk[walk.index(walk[-1]):][::-1]
 
     # ------------------------------------------------------------------
 
@@ -137,21 +128,9 @@ class TaskGraph:
             succ[e.src].append(e.dst)
         return succ
 
-    def topological_order(self) -> list:
+    def topological_order(self) -> tuple:
         """Kahn topological order, stable w.r.t. module declaration order."""
-        indeg = {m.id: 0 for m in self.modules}
-        for e in self.edges:
-            indeg[e.dst] += 1
-        ready = [m.id for m in self.modules if indeg[m.id] == 0]
-        order = []
-        while ready:
-            mid = ready.pop(0)
-            order.append(mid)
-            for nxt in self.successors[mid]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    ready.append(nxt)
-        return order
+        return self._order
 
     def critical_path_time(self) -> float:
         """Longest directed path, nodes weighted by execution time."""

@@ -1,14 +1,14 @@
 """Shared builders and reference oracles for PST-level tests: small graphs,
 random valid PSTs, the exhaustive shape-reselection oracle, and plain
-reference versions of packing, rough scoring and chip window counts that
-the optimised code in src/ must agree with."""
+reference versions of packing, scheduling, rough scoring and chip window
+counts that the optimised code in src/ must agree with."""
 
 import itertools
 import random
 
 from pdrplan.chip import Rect, ResourceVector
 from pdrplan.explore import apply_candidate
-from pdrplan.pst import PST, Placement, pack, schedule
+from pdrplan.pst import PST, Placement, ScheduleResult, pack, schedule
 from pdrplan.shapes import Shape
 from pdrplan.taskgraph import Edge, TaskGraph, TaskModule
 
@@ -287,3 +287,55 @@ def module_level_pack(pst, shapes, chip):
     }
     return Placement(coords=coords, region_boxes=region_boxes,
                      x_max=x_max, y_max=y_max)
+
+
+def reference_schedule(pst, g):
+    """Reference schedule: a Kahn sweep inside each layer, in ps order.
+
+    Times each layer's modules as their intra-layer predecessors finish,
+    independently of the graph's stored topological order.
+    pdrplan.pst.schedule must return an equal ScheduleResult.
+    """
+    members = pst.layer_members
+    preds = g.predecessors
+    config_start, config_end, exec_start, exec_end = {}, {}, {}, {}
+    layer_exec_end, region_prev = {}, {}
+    port_free = 0.0
+    present = set(pst.partition)
+    for key in pst.rs:
+        mods = members[key]
+        conf_sum = 0.0
+        for m in mods:
+            conf_sum += g.module(m).conf_time
+        start = port_free
+        prev = region_prev.get(key[0])
+        if prev is not None:
+            start = max(start, layer_exec_end[prev])
+        config_start[key] = start
+        config_end[key] = start + conf_sum
+        port_free = config_end[key]
+        region_prev[key[0]] = key
+
+        mods_set = set(mods)
+        remaining = {m: sum(1 for p in preds[m] if p in mods_set) for m in mods}
+        ready = [m for m in mods if remaining[m] == 0]
+        done = 0
+        while ready:
+            m = ready.pop(0)
+            done += 1
+            start_t = config_end[key]
+            for p in preds[m]:
+                if p in present:
+                    start_t = max(start_t, exec_end[p])
+            exec_start[m] = start_t
+            exec_end[m] = start_t + g.module(m).exec_time
+            for succ in g.successors[m]:
+                if succ in remaining and remaining[succ] > 0:
+                    remaining[succ] -= 1
+                    if remaining[succ] == 0:
+                        ready.append(succ)
+        assert done == len(mods), f"unresolved intra-layer dependency in {key}"
+        layer_exec_end[key] = max(exec_end[m] for m in mods)
+    makespan = max(exec_end.values(), default=0.0)
+    return ScheduleResult(config_start, config_end, exec_start, exec_end,
+                          makespan)

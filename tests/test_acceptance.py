@@ -16,10 +16,10 @@ from pdrplan.explore import SAConfig, anneal, initial_solution
 from pdrplan.ilp import build_model, solve
 from pdrplan.pst import CostWeights, PST, evaluate, pack, schedule, validate
 from pdrplan.report import (PipelineConfig, compute_rrt, postoptimize,
-                            run_pipeline, summarize)
-from pdrplan.shapes import (Shape, ShapeGenConfig, ShapeList, generate,
-                            generate_all, min_height_for_width)
-from pdrplan.taskgraph import (BenchSpec, Edge, TaskGraph, TaskModule,
+                            run_pipeline)
+from pdrplan.shapes import (Shape, ShapeList, generate, generate_all,
+                            min_height_for_width)
+from pdrplan.taskgraph import (BenchSpec, TaskGraph, TaskModule,
                                assign_conf_times, preset_spec)
 from pdrplan.taskgraph import generate as gen_graph
 

@@ -7,7 +7,7 @@ import pytest
 from helpers import exact_rough_evaluate, make_graph
 from pdrplan import explore
 from pdrplan.chip import builtin_xc7vx485t
-from pdrplan.explore import (PROBE_MOVES, Candidate, RoughEvaluator, SAConfig,
+from pdrplan.explore import (PROBE_MOVES, RoughEvaluator, SAConfig,
                              accept_move, accurate_evaluate, anneal,
                              apply_candidate, enumerate_insertions,
                              initial_solution)

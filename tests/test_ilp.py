@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +7,14 @@ import pytest
 from helpers import (brute_force_best_objective, make_graph, random_pst,
                      single_layer_pst)
 from pdrplan.chip import ChipModel, builtin_xc7vx485t
-from pdrplan.ilp import ShapeSelection, apply, build_model, export_lp, solve
+from pdrplan.ilp import apply, build_model, export_lp, solve
 from pdrplan.pst import CostWeights, PST, pack
-from pdrplan.shapes import Shape, ShapeList
+from pdrplan.report import prepare_instance
+from pdrplan.shapes import Shape, ShapeGenConfig, ShapeList
+from pdrplan.solio import load_solution
+from pdrplan.taskgraph import load_graph
+
+POSTOPT = Path(__file__).resolve().parents[1] / "planbench" / "postopt"
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +86,7 @@ class TestSolve:
         assert res.status == "optimal"
         # (146-8)+(350-5) = 483 beats (146-5)+(350-10) = 481
         assert res.objective == 483.0
-        assert res.selection.choices == {"m1": 0}
+        assert res.selection == {"m1": 0}
 
     def test_infeasible_when_everything_overflows(self):
         toy = toy_chip(width=10, height=20)
@@ -136,6 +142,36 @@ class TestSolve:
                 assert more.status == "optimal"
 
 
+class TestPinnedSearch:
+    """The branch and bound on the benchmark's overflowing solutions.
+
+    Node counts follow from the branching order, the shape order and the
+    bounds, so a change to any of them shows here even when the optimum
+    stays the same.
+    """
+
+    PINNED = {
+        "t10-1-s1": (87.0, 37752),
+        "t10-2-s0": (101.0, 158),
+        "t10-3-s0": (30.0, 51),
+        "t30-1-s0": (85.0, 296),
+        "t30-2-s0": (30.0, 19038),
+        "t30-3-s0": (100.0, 190),
+        "t50-1-s0": (100.0, 157),
+        "t50-3-s5": (0.0, 12923),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_status_objective_and_nodes(self, name, chip):
+        g, lists = prepare_instance(load_graph(POSTOPT / f"{name}.graph"),
+                                    chip, ShapeGenConfig(), 0.001)
+        sol = load_solution(POSTOPT / f"{name}.solution", g, chip,
+                            CostWeights().resolve(g, chip))
+        res = solve(build_model(sol.pst, lists, chip), 60)
+        assert (res.status, res.objective, res.nodes) == (
+            "optimal", *self.PINNED[name])
+
+
 class TestApply:
     def test_idempotent_on_feasible_selection(self, chip):
         g = make_graph(2, conf=1.0)
@@ -143,7 +179,7 @@ class TestApply:
         lists = {m: ShapeList(m, (Shape(8, 5), Shape(5, 10)))
                  for m in ("m1", "m2")}
         w = CostWeights().resolve(g, chip)
-        sel = ShapeSelection({"m1": 0, "m2": 0})
+        sel = {"m1": 0, "m2": 0}
         sol = apply(pst, sel, lists, g, chip, w)
         shapes = {m: lists[m].shapes[0] for m in ("m1", "m2")}
         assert sol.placement.coords == pack(pst, shapes, chip).coords
@@ -173,7 +209,7 @@ class TestApply:
         lists = {"m1": ShapeList("m1", (Shape(147, 5),))}
         w = CostWeights().resolve(g, chip)
         with pytest.raises(RuntimeError):
-            apply(pst, ShapeSelection({"m1": 0}), lists, g, chip, w)
+            apply(pst, {"m1": 0}, lists, g, chip, w)
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,17 @@
 """Property tests: the text formats round-trip, schedules respect their
-lower bounds, the optimised packing, rough scoring and chip window counts
-agree with the plain reference versions in helpers.py, and the rough
-extents of a fresh layer or region equal those of a full pack."""
+lower bounds, the optimised packing, schedule, rough scoring and chip
+window counts agree with the plain reference versions in helpers.py, and
+the rough extents of a fresh layer or region equal those of a full pack."""
 
 import functools
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (layered_pst, make_graph, module_level_pack,
-                     per_candidate_rough, random_pst, scan_min_column_counts)
+                     per_candidate_rough, random_pst, reference_schedule,
+                     scan_min_column_counts)
 from pdrplan.chip import ChipModel, ResourceVector, builtin_xc7vx485t, load_chip
 from pdrplan.explore import (RoughEvaluator, apply_candidate,
                              enumerate_insertions, initial_solution)
@@ -78,6 +79,22 @@ def test_schedule_lower_bounds(g, seed):
     makespan = schedule(pst, g).makespan
     for bound in (g.critical_path_time(), sum(m.conf_time for m in modules)):
         assert makespan >= bound * (1 - 1e-12)
+
+
+@FAST
+@given(graphs(), st.integers(0, 2**32 - 1))
+def test_schedule_equals_per_layer_kahn(g, seed):
+    """Timing each layer in the graph's topological order gives the
+    ScheduleResult of a Kahn sweep inside each layer."""
+    rng = random.Random(seed)
+    modules = [TaskModule(m.id, m.demand, m.exec_time, m.conf_time or 0.0)
+               for m in g.modules]
+    rng.shuffle(modules)  # declaration order need not be topological
+    g = TaskGraph(modules, g.edges)
+    pst = layered_pst(rng, g, avg_layer_size=4)
+    part = pst.partition
+    assume(any(part[e.src] == part[e.dst] for e in g.edges))
+    assert schedule(pst, g) == reference_schedule(pst, g)
 
 
 @FAST

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import (layered_pst, make_graph, random_pst, rects_overlap,
                      single_layer_pst, uniform_shapes)
-from pdrplan.chip import Rect, ResourceVector, builtin_xc7vx485t
+from pdrplan.chip import Rect, builtin_xc7vx485t
 from pdrplan.pst import (BOUNDARY_PENALTY, CostWeights, PST, comm_cost,
                          evaluate, hetero_cost, is_feasible, pack, schedule,
                          validate)

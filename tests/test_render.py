@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import make_graph, single_layer_pst
+from helpers import make_graph
 from pdrplan.chip import builtin_xc7vx485t
 from pdrplan.pst import CostWeights, PST, evaluate
 from pdrplan.render import render_svg

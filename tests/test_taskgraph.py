@@ -1,8 +1,7 @@
-import itertools
-
 import pytest
 
 from pdrplan.chip import ResourceVector
+from pdrplan.cli import main
 from pdrplan.errors import GraphCycleError, InputFileError
 from pdrplan.taskgraph import (BenchSpec, Edge, TaskGraph, TaskModule,
                                assign_conf_times, generate, parse_graph,
@@ -52,6 +51,31 @@ class TestParse:
                         "edge m1 m2 weight=1\n"
                         "edge m2 m1 weight=1\n")
         assert "m1" in str(exc.value) and "m2" in str(exc.value)
+
+    # m0 -> m1 -> m2 -> m3 -> m1 with a tail m3 -> m4: m0 leads into the
+    # cycle and m4 hangs off it, and neither is on it.
+    CYCLE_EDGES = (("m0", "m1"), ("m1", "m2"), ("m2", "m3"), ("m3", "m1"),
+                   ("m3", "m4"))
+
+    @pytest.mark.parametrize("ids", [["m0", "m1", "m2", "m3", "m4"],
+                                     ["m4", "m3", "m2", "m1", "m0"]])
+    def test_cycle_error_names_a_real_cycle(self, ids):
+        with pytest.raises(GraphCycleError) as exc:
+            TaskGraph([mk(m) for m in ids],
+                      [Edge(s, d, 1.0) for s, d in self.CYCLE_EDGES])
+        cycle = exc.value.cycle
+        assert len(cycle) >= 3 and cycle[0] == cycle[-1]
+        assert all(pair in self.CYCLE_EDGES for pair in zip(cycle, cycle[1:]))
+        assert "m0" not in cycle and "m4" not in cycle
+
+    def test_cycle_exits_2_from_the_cli(self, tmp_path, capsys):
+        path = tmp_path / "cycle.graph"
+        path.write_text("".join(
+            f"module {m} clb=100 bram=0 dsp=0 exec=5 conf=1\n"
+            for m in ("m0", "m1", "m2", "m3", "m4"))
+            + "".join(f"edge {s} {d} weight=1\n" for s, d in self.CYCLE_EDGES))
+        assert main(["shapes", "--graph", str(path)]) == 2
+        assert "dependency cycle" in capsys.readouterr().err
 
     def test_unknown_module_rejected(self):
         with pytest.raises(InputFileError, match="unknown module"):
