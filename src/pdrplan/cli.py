@@ -258,6 +258,7 @@ def cmd_postopt(args) -> int:
         sol = ilp_apply(sol.pst, res.selection, lists, g, chip, weights)
     else:
         print(res.status)
+    print(f"nodes={res.nodes}")
     if args.out:
         Path(args.out).write_text(write_solution(sol), encoding="utf-8")
     return 0 if sol.feasible else 1

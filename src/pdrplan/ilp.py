@@ -11,8 +11,13 @@ The model is kept in structured form only: shape dimensions per module
 plus the sequence-pair relations (Murata et al., IEEE TCAD 1996).  The
 bundled solver branches on the selection rows and bounds extents via
 longest paths over per-module minimum remaining widths/heights, which
-never overestimate any completion.  export_lp spells the same model out
-row by row in CPLEX LP text form for use with external solvers.
+never overestimate any completion.  At each node it also drops, for the
+bound only, every shape whose longest path (head + size + tail) breaks
+the extent budget that beating the incumbent leaves, repeating until no
+shape goes; a node is pruned when a module loses all its shapes or the
+bound over the survivors cannot beat the incumbent's (objective, -area).
+export_lp spells the same model out row by row in CPLEX LP text form for
+use with external solvers.
 """
 
 from __future__ import annotations
@@ -107,10 +112,13 @@ class _Search:
         self.dims = [model.shape_dims[m] for m in self.modules]
         self.h_preds = [[] for _ in range(self.n)]
         self.v_preds = [[] for _ in range(self.n)]
-        for a, b in model.h_pairs:
-            self.h_preds[self.idx[b]].append(self.idx[a])
-        for a, b in model.v_pairs:
-            self.v_preds[self.idx[b]].append(self.idx[a])
+        self.h_succs = [[] for _ in range(self.n)]
+        self.v_succs = [[] for _ in range(self.n)]
+        for pairs, preds, succs in ((model.h_pairs, self.h_preds, self.h_succs),
+                                    (model.v_pairs, self.v_preds, self.v_succs)):
+            for a, b in pairs:
+                preds[self.idx[b]].append(self.idx[a])
+                succs[self.idx[a]].append(self.idx[b])
         # Longest paths are evaluated in dependency order.  Model order is
         # ps order: in a horizontal pair (a, b), a comes first in ps; in a
         # vertical one the lower module a comes later (Murata et al.).  So
@@ -163,9 +171,77 @@ class _Search:
         yext, yarg, ypos = self._extent(self.v_order, self.v_preds, hmin)
         return xext, yext, (xarg, xpos, wmin), (yarg, ypos, hmin)
 
+    def _tails(self, order, succs, size):
+        """Longest path from each module's far edge to the extent."""
+        tail = [0] * self.n
+        for i in reversed(order):
+            best = 0
+            for s in succs[i]:
+                v = size[s] + tail[s]
+                if v > best:
+                    best = v
+            tail[i] = best
+        return tail
+
     def _area_lb(self, allowed):
         return sum(min(w * h for w, h in (self.dims[i][j] for j in allowed[i]))
                    for i in range(self.n))
+
+    def _can_improve(self, allowed, xext, yext, xinfo, yinfo):
+        """Whether some completion of allowed may beat the incumbent.
+
+        A completion beating an incumbent of objective obj has
+        X + Y <= S = W + H - obj, so X <= min(W, S - Y_lb) and
+        Y <= min(H, S - X_lb); with no incumbent only the chip caps
+        apply.  A shape of module i survives if the longest path through
+        it (head + size + tail under per-module minima) fits both caps.
+        Filtering repeats with the surviving shapes' minima until nothing
+        more goes; then (ub, -area lb) over the survivors must beat the
+        incumbent's key.  The survivors feed only this bound: branching
+        still runs over allowed, so leaves are met in the same order.
+        """
+        width, height = self.model.width, self.model.height
+        dims = self.dims
+        best = self.best_key
+        budget = None if best is None else width + height - best[0]
+        _, xpos, wmin = xinfo
+        _, ypos, hmin = yinfo
+        shapes = allowed
+        while True:
+            if xext > width or yext > height:
+                return False
+            xcap, ycap = width, height
+            if budget is not None:
+                if xext + yext > budget:
+                    return False
+                xcap = min(width, budget - yext)
+                ycap = min(height, budget - xext)
+            xtail = self._tails(self.h_order, self.h_succs, wmin)
+            ytail = self._tails(self.v_order, self.v_succs, hmin)
+            kept_all = []
+            changed = False
+            for i in range(self.n):
+                wcap = xcap - xpos[i] - xtail[i]
+                hcap = ycap - ypos[i] - ytail[i]
+                d = dims[i]
+                kept = [j for j in shapes[i]
+                        if d[j][0] <= wcap and d[j][1] <= hcap]
+                if not kept:
+                    return False
+                if len(kept) < len(shapes[i]):
+                    changed = True
+                kept_all.append(kept)
+            shapes = kept_all
+            if not changed:
+                break
+            wmin = [min(dims[i][j][0] for j in shapes[i]) for i in range(self.n)]
+            hmin = [min(dims[i][j][1] for j in shapes[i]) for i in range(self.n)]
+            xext, _, xpos = self._extent(self.h_order, self.h_preds, wmin)
+            yext, _, ypos = self._extent(self.v_order, self.v_preds, hmin)
+        if best is None:
+            return True
+        ub = (width - xext) + (height - yext)
+        return (ub, -self._area_lb(shapes)) > best
 
     def try_assignment(self, choice):
         """Evaluate a full assignment; update the incumbent if feasible."""
@@ -182,19 +258,47 @@ class _Search:
             self.best_key = key
             self.best_choice = list(choice)
 
+    def run(self) -> SolveResult:
+        """Seed the incumbent, search, and report; see solve."""
+        start = time.monotonic()
+        dims = self.dims
+        width, height = self.model.width, self.model.height
+        if self.n:
+            min_area = [min(range(len(dims[i])),
+                            key=lambda j: (dims[i][j][0] * dims[i][j][1], j))
+                        for i in range(self.n)]
+            self.try_assignment(min_area)
+            balanced = [min(range(len(dims[i])),
+                            key=lambda j: (dims[i][j][0] / width
+                                           + dims[i][j][1] / height, j))
+                        for i in range(self.n)]
+            self.try_assignment(balanced)
+        self.dfs([list(range(len(dims[i]))) for i in range(self.n)])
+        wall = time.monotonic() - start
+        if self.timed_out:
+            status = "timeout"
+        elif self.best_key is None:
+            status = "infeasible"
+        else:
+            status = "optimal"
+        selection = None
+        objective = None
+        if self.best_choice is not None:
+            selection = {m: self.best_choice[i]
+                         for i, m in enumerate(self.modules)}
+            objective = float(self.best_key[0])
+        return SolveResult(status=status, selection=selection,
+                           objective=objective, nodes=self.nodes,
+                           wall_time=wall)
+
     def dfs(self, allowed):
         if self.deadline is not None and time.monotonic() > self.deadline:
             self.timed_out = True
             return
         self.nodes += 1
         xext, yext, xinfo, yinfo = self._bound(allowed)
-        if xext > self.model.width or yext > self.model.height:
-            return  # no completion fits the boundary
-        ub = (self.model.width - xext) + (self.model.height - yext)
-        if self.best_key is not None:
-            ub_key = (ub, -self._area_lb(allowed))
-            if ub_key <= self.best_key:
-                return
+        if not self._can_improve(allowed, xext, yext, xinfo, yinfo):
+            return
         if all(len(a) == 1 for a in allowed):
             self.try_assignment([a[0] for a in allowed])
             return
@@ -235,37 +339,14 @@ def solve(model: ILPModel, time_limit: float | None = None) -> SolveResult:
 
     Seeds the incumbent with two greedy assignments (all minimum-area
     shapes; per-module least normalized half-perimeter), then runs
-    depth-first branch and bound.  Deterministic for a fixed model.
+    depth-first branch and bound.  A node is pruned unless some
+    completion can still beat the incumbent's (objective, -total area):
+    each module's shapes are filtered against the extent budget the
+    incumbent leaves, and the bound is taken over the survivors.  Ties in
+    that key go to the first assignment met.  Deterministic for a fixed
+    model.
     """
-    start = time.monotonic()
-    search = _Search(model, time_limit)
-    n = len(model.modules)
-    if n:
-        min_area = [min(range(len(search.dims[i])),
-                        key=lambda j: (search.dims[i][j][0] * search.dims[i][j][1], j))
-                    for i in range(n)]
-        search.try_assignment(min_area)
-        balanced = [min(range(len(search.dims[i])),
-                        key=lambda j: (search.dims[i][j][0] / model.width
-                                       + search.dims[i][j][1] / model.height, j))
-                    for i in range(n)]
-        search.try_assignment(balanced)
-    search.dfs([list(range(len(search.dims[i]))) for i in range(n)])
-    wall = time.monotonic() - start
-    if search.timed_out:
-        status = "timeout"
-    elif search.best_key is None:
-        status = "infeasible"
-    else:
-        status = "optimal"
-    selection = None
-    objective = None
-    if search.best_choice is not None:
-        selection = {m: search.best_choice[i]
-                     for i, m in enumerate(model.modules)}
-        objective = float(search.best_key[0])
-    return SolveResult(status=status, selection=selection, objective=objective,
-                       nodes=search.nodes, wall_time=wall)
+    return _Search(model, time_limit).run()
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Shared builders and reference oracles for PST-level tests: small graphs,
-random valid PSTs, the exhaustive shape-reselection oracle, and plain
-reference versions of packing, scheduling, rough scoring and chip window
-counts that the optimised code in src/ must agree with."""
+random valid PSTs, the exhaustive shape-reselection oracles, and plain
+reference versions of packing, scheduling, rough scoring, chip window
+counts and branch-and-bound pruning that the optimised code in src/ must
+agree with."""
 
 import itertools
 import random
 
 from pdrplan.chip import Rect, ResourceVector
 from pdrplan.explore import apply_candidate
+from pdrplan.ilp import _Search
 from pdrplan.pst import PST, Placement, ScheduleResult, pack, schedule
 from pdrplan.shapes import Shape
 from pdrplan.taskgraph import Edge, TaskGraph, TaskModule
@@ -135,20 +137,56 @@ def rects_overlap(a, b):
     return not (a.x_hi < b.x or b.x_hi < a.x or a.y_hi < b.y or b.y_hi < a.y)
 
 
-def brute_force_best_objective(pst, lists, chip):
-    """Exhaustive assignment sweep, each evaluated through pack()."""
+def selection_key(pst, shapes, chip):
+    """(objective, -total area) of a shape assignment under pack(), or
+    None when it leaves the chip."""
+    p = pack(pst, shapes, chip)
+    if p.x_max > chip.width or p.y_max > chip.height:
+        return None
+    return ((chip.width - p.x_max) + (chip.height - p.y_max),
+            -sum(s.area for s in shapes.values()))
+
+
+def brute_force_best_key(pst, lists, chip):
+    """Exhaustive assignment sweep, each evaluated through pack(): the
+    lexicographically largest (objective, -total area), or None."""
     ids = list(pst.ps)
     best = None
     for combo in itertools.product(*(range(len(lists[m].shapes))
                                      for m in ids)):
         shapes = {m: lists[m].shapes[j] for m, j in zip(ids, combo)}
-        p = pack(pst, shapes, chip)
-        if p.x_max > chip.width or p.y_max > chip.height:
-            continue
-        obj = (chip.width - p.x_max) + (chip.height - p.y_max)
-        if best is None or obj > best:
-            best = obj
+        key = selection_key(pst, shapes, chip)
+        if key is not None and (best is None or key > best):
+            best = key
     return best
+
+
+def brute_force_best_objective(pst, lists, chip):
+    """The objective of brute_force_best_key, or None."""
+    key = brute_force_best_key(pst, lists, chip)
+    return None if key is None else key[0]
+
+
+class _ReferenceSearch(_Search):
+    """The branch and bound with the plain bound: prune when the longest
+    paths over every remaining shape's minima leave the chip or cannot
+    beat the incumbent's (objective, -area lower bound)."""
+
+    def _can_improve(self, allowed, xext, yext, xinfo, yinfo):
+        if xext > self.model.width or yext > self.model.height:
+            return False
+        if self.best_key is None:
+            return True
+        ub = (self.model.width - xext) + (self.model.height - yext)
+        return (ub, -self._area_lb(allowed)) > self.best_key
+
+
+def reference_solve(model, time_limit=None):
+    """Reference solve: the same branching, seeds and leaves as
+    pdrplan.ilp.solve but the plain bound, which expands every subtree
+    that still fits the chip and whose plain bound beats the incumbent.
+    solve must return the same status, objective and selection."""
+    return _ReferenceSearch(model, time_limit).run()
 
 
 def exact_rough_evaluate(ev, cand, shape_list):

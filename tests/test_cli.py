@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from pdrplan.chip import builtin_xc7vx485t
@@ -6,6 +8,7 @@ from pdrplan.report import prepare_instance
 from pdrplan.shapes import ShapeGenConfig
 from pdrplan.taskgraph import load_graph
 
+POSTOPT = Path(__file__).resolve().parents[1] / "planbench" / "postopt"
 
 GRAPH = """\
 module m1 clb=2000 bram=20 dsp=10 exec=40 conf=2
@@ -120,6 +123,14 @@ class TestExploreAndFriends:
              "--out-dir", str(render_dir)], capsys)
         assert code == 0
         assert list(render_dir.glob("*.svg"))
+
+    def test_postopt_prints_node_count(self, capsys):
+        args = ["postopt", "--graph", str(POSTOPT / "t10-2-s0.graph"),
+                "--solution", str(POSTOPT / "t10-2-s0.solution")]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert out.splitlines() == ["optimal objective=101.0", "nodes=11"]
+        assert run_cli(args, capsys)[1] == out  # no wall time in stdout
 
     def test_run_pipeline_summary(self, graph_file, tmp_path, capsys):
         out_dir = tmp_path / "batch"

@@ -1,18 +1,20 @@
 import random
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import (brute_force_best_objective, make_graph, random_pst,
-                     single_layer_pst)
+from helpers import (brute_force_best_key, brute_force_best_objective,
+                     make_graph, random_pst, selection_key, single_layer_pst)
 from pdrplan.chip import ChipModel, builtin_xc7vx485t
+from pdrplan.explore import SAConfig, anneal
 from pdrplan.ilp import apply, build_model, export_lp, solve
 from pdrplan.pst import CostWeights, PST, pack
 from pdrplan.report import prepare_instance
 from pdrplan.shapes import Shape, ShapeGenConfig, ShapeList
 from pdrplan.solio import load_solution
-from pdrplan.taskgraph import load_graph
+from pdrplan.taskgraph import generate, load_graph, preset_spec
 
 POSTOPT = Path(__file__).resolve().parents[1] / "planbench" / "postopt"
 
@@ -20,6 +22,29 @@ POSTOPT = Path(__file__).resolve().parents[1] / "planbench" / "postopt"
 @pytest.fixture(scope="module")
 def chip():
     return builtin_xc7vx485t()
+
+
+def postopt_model(name, chip):
+    """The reselection program of a benchmark post-opt instance."""
+    g, lists = prepare_instance(load_graph(POSTOPT / f"{name}.graph"),
+                                chip, ShapeGenConfig(), 0.001)
+    sol = load_solution(POSTOPT / f"{name}.solution", g, chip,
+                        CostWeights().resolve(g, chip))
+    return build_model(sol.pst, lists, chip)
+
+
+# Annealing runs short enough to leave one or two crowded regions, whose
+# reselection programs are hard for the branch and bound.
+CROWDED_SA = SAConfig(seed=0, iterations_per_temperature=2,
+                      initial_temperature=5.0, min_temperature=0.05)
+
+
+def crowded_model(preset, graph_seed, chip):
+    """The reselection program of a short annealing run on a preset graph."""
+    g, lists = prepare_instance(generate(preset_spec(preset, seed=graph_seed)),
+                                chip, ShapeGenConfig(), 0.001)
+    sol, _ = anneal(g, lists, chip, CROWDED_SA)
+    return build_model(sol.pst, lists, chip)
 
 
 def toy_chip(width=40, height=60):
@@ -114,6 +139,32 @@ class TestSolve:
                 assert res.status == "optimal"
                 assert res.objective == want
 
+    def test_selection_attains_best_key(self):
+        """Among optimal selections the least total area wins."""
+        rng = random.Random(23)
+        toy = toy_chip()
+        for _ in range(80):
+            n = rng.randint(1, 6)
+            g = make_graph(n)
+            pst = random_pst(rng, g.module_ids)
+            lists = random_lists(rng, g.module_ids)
+            res = solve(build_model(pst, lists, toy))
+            want = brute_force_best_key(pst, lists, toy)
+            if want is None:
+                assert res.status == "infeasible"
+                continue
+            got = selection_key(pst, {m: lists[m].shapes[j]
+                                      for m, j in res.selection.items()}, toy)
+            assert got == want
+
+    def test_deadline_honoured_on_crowded_instance(self, chip):
+        model = crowded_model("t30-2", 3, chip)
+        started = time.monotonic()
+        res = solve(model, 1.0)
+        assert time.monotonic() - started <= 1.5
+        assert res.status == "timeout"
+        assert res.selection is not None and res.objective is not None
+
     def test_timeout_reports_incumbent(self, chip):
         rng = random.Random(5)
         g = make_graph(40)
@@ -147,29 +198,30 @@ class TestPinnedSearch:
 
     Node counts follow from the branching order, the shape order and the
     bounds, so a change to any of them shows here even when the optimum
-    stays the same.
+    stays the same.  The selection is pinned as the modules that do not
+    take their first (minimum-area) shape.
     """
 
     PINNED = {
-        "t10-1-s1": (87.0, 37752),
-        "t10-2-s0": (101.0, 158),
-        "t10-3-s0": (30.0, 51),
-        "t30-1-s0": (85.0, 296),
-        "t30-2-s0": (30.0, 19038),
-        "t30-3-s0": (100.0, 190),
-        "t50-1-s0": (100.0, 157),
-        "t50-3-s5": (0.0, 12923),
+        "t10-1-s1": (87.0, 698,
+                     {"m3": 4, "m5": 7, "m6": 1, "m7": 4, "m10": 7}),
+        "t10-2-s0": (101.0, 11, {}),
+        "t10-3-s0": (30.0, 1, {}),
+        "t30-1-s0": (85.0, 9, {}),
+        "t30-2-s0": (30.0, 2828, {"m7": 1, "m21": 2, "m28": 1}),
+        "t30-3-s0": (100.0, 11, {}),
+        "t50-1-s0": (100.0, 10, {}),
+        "t50-3-s5": (0.0, 3033, {"m34": 1, "m36": 2}),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_status_objective_and_nodes(self, name, chip):
-        g, lists = prepare_instance(load_graph(POSTOPT / f"{name}.graph"),
-                                    chip, ShapeGenConfig(), 0.001)
-        sol = load_solution(POSTOPT / f"{name}.solution", g, chip,
-                            CostWeights().resolve(g, chip))
-        res = solve(build_model(sol.pst, lists, chip), 60)
+        model = postopt_model(name, chip)
+        res = solve(model, 60)
+        objective, nodes, moved = self.PINNED[name]
         assert (res.status, res.objective, res.nodes) == (
-            "optimal", *self.PINNED[name])
+            "optimal", objective, nodes)
+        assert res.selection == {m: moved.get(m, 0) for m in model.modules}
 
 
 class TestApply:
@@ -392,3 +444,19 @@ class TestExportLP:
                 assert external == pytest.approx(ours.objective, abs=1e-6)
                 agree += 1
         assert agree >= 5  # most random instances are feasible
+
+    @pytest.mark.parametrize("name", sorted(TestPinnedSearch.PINNED)
+                             + ["crowded-t30-1-s0"])
+    def test_optimum_equals_highs(self, name, chip):
+        """The bundled solver proves the HiGHS optimum within 20 s on the
+        benchmark's post-opt instances and on a crowded annealing result
+        (HiGHS optimum 171) that the plain bound does not close in 20 s."""
+        pytest.importorskip("scipy")
+        if name.startswith("crowded-"):
+            model = crowded_model("t30-1", 0, chip)
+        else:
+            model = postopt_model(name, chip)
+        res = solve(model, 20)
+        assert res.status == "optimal"
+        assert solve_lp_with_scipy(export_lp(model)) == pytest.approx(
+            res.objective, abs=1e-6)

@@ -1,7 +1,8 @@
 """Property tests: the text formats round-trip, schedules respect their
-lower bounds, the optimised packing, schedule, rough scoring and chip
-window counts agree with the plain reference versions in helpers.py, and
-the rough extents of a fresh layer or region equal those of a full pack."""
+lower bounds, the optimised packing, schedule, rough scoring, chip window
+counts and branch-and-bound pruning agree with the plain reference
+versions in helpers.py, and the rough extents of a fresh layer or region
+equal those of a full pack."""
 
 import functools
 import random
@@ -11,13 +12,14 @@ from hypothesis import strategies as st
 
 from helpers import (layered_pst, make_graph, module_level_pack,
                      per_candidate_rough, random_pst, reference_schedule,
-                     scan_min_column_counts)
+                     reference_solve, scan_min_column_counts)
 from pdrplan.chip import ChipModel, ResourceVector, builtin_xc7vx485t, load_chip
 from pdrplan.explore import (RoughEvaluator, apply_candidate,
                              enumerate_insertions, initial_solution)
+from pdrplan.ilp import build_model, solve
 from pdrplan.pst import CostWeights, evaluate, pack, schedule
 from pdrplan.report import prepare_instance
-from pdrplan.shapes import Shape, ShapeGenConfig
+from pdrplan.shapes import Shape, ShapeGenConfig, ShapeList
 from pdrplan.solio import parse_solution, write_solution
 from pdrplan.taskgraph import (Edge, TaskGraph, TaskModule, generate,
                                parse_graph, preset_spec)
@@ -111,6 +113,36 @@ def test_layered_pack_equals_module_level_pack(n, regions, layers, seed):
     assert got == want
     assert list(got.coords) == list(want.coords)
     assert list(got.region_boxes) == list(want.region_boxes)
+
+
+TOY_CHIP = ChipModel(width=40, height=60, bram_cols=frozenset({3, 17}),
+                     dsp_cols=frozenset({9, 25}), macro_rows_per_col=24,
+                     quantum=5)
+
+
+@FAST
+@given(st.integers(1, 6), st.integers(1, 4), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_solve_equals_reference_solve(n, max_shapes, toy, seed):
+    """Filtering shapes against the incumbent's extent budget changes only
+    the node count: status, objective and selection stay those of the
+    plain bound."""
+    rng = random.Random(seed)
+    chip = TOY_CHIP if toy else CHIP
+    ids = [f"m{i}" for i in range(n)]
+    pst = random_pst(rng, ids)
+    lists = {}
+    for m in ids:
+        shapes = {Shape(rng.randint(1, chip.width // 2),
+                        5 * rng.randint(1, chip.height // 10))
+                  for _ in range(rng.randint(1, max_shapes))}
+        lists[m] = ShapeList(m, tuple(sorted(shapes,
+                                             key=lambda s: (s.area, s.w))))
+    model = build_model(pst, lists, chip)
+    got, want = solve(model), reference_solve(model)
+    assert (got.status, got.objective, got.selection) == (
+        want.status, want.objective, want.selection)
+    assert got.nodes <= want.nodes
 
 
 @functools.lru_cache(maxsize=None)
