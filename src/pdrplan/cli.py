@@ -13,12 +13,14 @@ from pathlib import Path
 from .chip import builtin_xc7vx485t, load_chip
 from .errors import InfeasibleModuleError, InputFileError
 from .explore import SAConfig, anneal, trace_csv
+# solve and ilp_apply are unused here but stay importable as cli.solve and
+# cli.ilp_apply, names that planbench/tracing.py wraps.
 from .ilp import build_model, export_lp, solve
 from .ilp import apply as ilp_apply
 from .pst import CostWeights
 from .render import render_svg
-from .report import (PipelineConfig, compute_rrt, prepare_instance,
-                     run_pipeline)
+from .report import (PipelineConfig, compute_rrt, postoptimize,
+                     prepare_instance, run_pipeline)
 from .shapes import ShapeGenConfig
 from .solio import load_solution, write_solution
 from .taskgraph import (BenchSpec, generate, load_graph, preset_spec)
@@ -252,10 +254,10 @@ def cmd_postopt(args) -> int:
     model = build_model(sol.pst, lists, chip)
     if args.export_lp:
         Path(args.export_lp).write_text(export_lp(model), encoding="utf-8")
-    res = solve(model, args.time_limit)
+    sol, res = postoptimize(sol, model, lists, g, chip, weights,
+                            args.time_limit)
     if res.status == "optimal":
         print(f"optimal objective={res.objective}")
-        sol = ilp_apply(sol.pst, res.selection, lists, g, chip, weights)
     else:
         print(res.status)
     print(f"nodes={res.nodes}")

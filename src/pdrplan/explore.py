@@ -8,7 +8,8 @@ candidate list at the same time), then the best few are re-costed exactly
 and the winner goes through the usual Metropolis acceptance test.  Rough
 estimates are computed once per class of insertion points that share
 them (the same target layer or region side, the same configuration slot)
-rather than once per point.
+rather than once per point.  A fresh layer is scored as an empty layer,
+and a region as its largest layer.
 """
 
 from __future__ import annotations
@@ -131,14 +132,14 @@ def initial_solution(g: TaskGraph, shape_lists: dict, chip: ChipModel) -> PST:
     return PST(ps=seq, qs=seq, rs=rs, partition=partition)
 
 
-def enumerate_insertions(pst: PST, m: str, g: TaskGraph | None = None) -> list:
+def enumerate_insertions(pst: PST, m: str, g: TaskGraph) -> list:
     """Every structurally valid reinsertion point for module m.
 
     Existing layers are offered at every (ps, qs) slot pair inside the
     layer block; each region offers a fresh layer appended to its block at
     every configuration-order position; a fresh region is offered at the
-    four sequence corners.  With g given, positions violating dependency
-    order are dropped.
+    four sequence corners.  Positions violating dependency order in g are
+    dropped.
     """
     if m in pst.partition:
         raise ValueError(f"module {m} must be deleted before reinsertion")
@@ -147,13 +148,12 @@ def enumerate_insertions(pst: PST, m: str, g: TaskGraph | None = None) -> list:
     rs_index = {key: i for i, key in enumerate(pst.rs)}
 
     max_pred, min_succ = -1, len(pst.rs)
-    if g is not None:
-        for p in g.predecessors[m]:
-            if p in pst.partition:
-                max_pred = max(max_pred, rs_index[pst.partition[p]])
-        for s in g.successors[m]:
-            if s in pst.partition:
-                min_succ = min(min_succ, rs_index[pst.partition[s]])
+    for p in g.predecessors[m]:
+        if p in pst.partition:
+            max_pred = max(max_pred, rs_index[pst.partition[p]])
+    for s in g.successors[m]:
+        if s in pst.partition:
+            min_succ = min(min_succ, rs_index[pst.partition[s]])
 
     cands = []
     for key in pst.rs:
@@ -171,14 +171,13 @@ def enumerate_insertions(pst: PST, m: str, g: TaskGraph | None = None) -> list:
     # fresh layer may take any rs slot after every predecessor's layer.
     rs_lo, rs_hi = max_pred + 1, min_succ
     for region in sorted(region_ps):
-        next_l = 1 + max(k[1] for k in rs_index if k[0] == region)
-        key = (region, next_l)
+        key = (region, 1 + max(k[1] for k in pst.region_layers[region]))
         i = region_ps[region][1] + 1
         j = region_qs[region][1] + 1
         for p in range(rs_lo, rs_hi + 1):
             cands.append(Candidate(layer=key, ps_pos=i, qs_pos=j, rs_pos=p,
                                    new_layer=True, new_region=False))
-    new_region = 1 + max((k[0] for k in rs_index), default=-1)
+    new_region = 1 + max(pst.region_layers, default=-1)
     corners = sorted({(i, j) for i in (0, len(pst.ps)) for j in (0, len(pst.qs))})
     for i, j in corners:
         for p in range(rs_lo, rs_hi + 1):
@@ -215,14 +214,18 @@ class RoughEvaluator:
     estimate runs the configuration recurrence at layer granularity,
     ignoring cross-layer execution dependencies.
 
+    A fresh layer is an empty layer: 0 by 0, with no configuration or
+    execution time.  A packed region is as large as its largest layer, and
+    a grown layer covers the layer it grew from, so the resized region is
+    max(region size, grown layer size); no other layer's size is needed.
+
     Each estimate depends on a few fields of a candidate only, so it is
     computed once per class of candidates and shared by the class.  The
-    shape choice and area term depend on the target alone: an existing
-    layer, a fresh layer of one region, or a fresh region on its side of
-    the design.  The schedule term depends on (layer, new_layer, rs_pos);
-    its recurrence resumes from the state saved just before that rs
-    position.  Shared values are the same floats a per-candidate
-    computation gives.
+    shape choice and area term depend on the target alone: a layer of an
+    existing region, or a fresh region on its side of the design.  The
+    schedule term depends on (layer, rs_pos); its recurrence resumes from
+    the state saved just before that rs position.  Shared values are the
+    same floats a per-candidate computation gives.
     """
 
     def __init__(self, pst: PST, shapes: dict, g: TaskGraph, chip: ChipModel,
@@ -258,7 +261,6 @@ class RoughEvaluator:
 
         # Recurrence steps (region, conf, exec) in rs order, and the state
         # (port, region ends, makespan) before each of them and after all.
-        self.rs_index = {key: i for i, key in enumerate(pst.rs)}
         self._steps = [(key[0], self.conf_sum[key], self.exec_max[key])
                        for key in pst.rs]
         self._prefix = []
@@ -269,10 +271,9 @@ class RoughEvaluator:
         self._prefix.append(state)
 
         self._extent_cache: dict = {}  # region -> (A_x, B_x, A_y, B_y)
-        self._others: dict = {}  # region -> _top_two of widths, of heights
         self._shape_list = None
         self._fits: dict = {}  # target -> (shape, weighted area term)
-        self._sched_terms: dict = {}  # (layer, new_layer, rs_pos) -> term
+        self._sched_terms: dict = {}  # (layer, rs_pos) -> term
 
     def _extents(self, r, size_x, size_y):
         """Design extents with region r resized to size_x by size_y."""
@@ -291,35 +292,15 @@ class RoughEvaluator:
             coeffs = self._extent_cache[r] = (ax, x - ax, ay, y - ay)
         return coeffs
 
-    def _other_layers(self, key):
-        """Largest width and height among the other layers of key's region.
-
-        Each region's two largest layers per dimension are found once: the
-        answer is the largest unless key is that layer.
-        """
-        tops = self._others.get(key[0])
-        if tops is None:
-            keys = self.pst.region_layers[key[0]]
-            tops = self._others[key[0]] = (_top_two(self.layer_w, keys),
-                                           _top_two(self.layer_h, keys))
-        (w_key, w1, w2), (h_key, h1, h2) = tops
-        return (w2 if key == w_key else w1, h2 if key == h_key else h1)
-
     def _sched_estimate(self, cand: Candidate) -> float:
-        """Makespan estimate with the candidate's layer changed or inserted."""
-        key = cand.layer
-        if cand.new_layer:
-            t = cand.rs_pos
-            step = (key[0], self.moved_conf, self.moved_exec)
-            rest = self._steps[t:]
-        else:
-            t = self.rs_index[key]
-            step = (key[0], self.conf_sum[key] + self.moved_conf,
-                    max(self.exec_max[key], self.moved_exec))
-            rest = self._steps[t + 1:]
+        """Makespan estimate with the candidate's layer grown or inserted:
+        its step at rs slot t replaces the layer's own, or precedes it."""
+        key, t = cand.layer, cand.rs_pos
+        step = (key[0], self.conf_sum.get(key, 0.0) + self.moved_conf,
+                max(self.exec_max.get(key, 0.0), self.moved_exec))
+        rest = self._steps[t + (key in self.conf_sum):]
         port, region_end, makespan = self._prefix[t]
-        state = _recurrence(port, dict(region_end), makespan, (step,))
-        return _recurrence(*state, rest)[2]
+        return _recurrence(port, dict(region_end), makespan, [step, *rest])[2]
 
     def _approx_extents(self, cand: Candidate, shape: Shape):
         if cand.new_region:
@@ -332,19 +313,14 @@ class RoughEvaluator:
                 y = self.y_base + shape.h
             return x, y
         region = cand.layer[0]
-        if cand.new_layer:
-            rw = max(self.region_w[region], shape.w)
-            rh = max(self.region_h[region], shape.h)
-        else:
-            lw, lh = self.layer_w[cand.layer], self.layer_h[cand.layer]
-            side = (lw + shape.w, max(lh, shape.h))
-            stack = (max(lw, shape.w), lh + shape.h)
-            ew, eh = min(side, stack, key=lambda t: t[0] * t[1])
-            other_w, other_h = self._other_layers(cand.layer)
-            rw = max(other_w, ew)
-            rh = max(other_h, eh)
+        lw = self.layer_w.get(cand.layer, 0)
+        lh = self.layer_h.get(cand.layer, 0)
+        side = (lw + shape.w, max(lh, shape.h))
+        stack = (max(lw, shape.w), lh + shape.h)
+        ew, eh = min(side, stack, key=lambda t: t[0] * t[1])
         ax, bx, ay, by = self._region_coeffs(region)
-        return max(ax, bx + rw), max(ay, by + rh)
+        return (max(ax, bx + max(self.region_w[region], ew)),
+                max(ay, by + max(self.region_h[region], eh)))
 
     def _best_shape(self, cand: Candidate, shape_list: ShapeList):
         """Shape minimizing the estimated design area (ties: smaller shape
@@ -372,28 +348,16 @@ class RoughEvaluator:
         if cand.new_region:
             target = (None, cand.ps_pos == cand.qs_pos or not self.pst.ps)
         else:
-            target = (cand.layer, cand.new_layer)
+            target = cand.layer
         fit = self._fits.get(target)
         if fit is None:
             fit = self._fits[target] = self._best_shape(cand, shape_list)
-        when = (cand.layer, cand.new_layer, cand.rs_pos)
+        when = (cand.layer, cand.rs_pos)
         sched = self._sched_terms.get(when)
         if sched is None:
             sched = self._sched_terms[when] = (
                 self.w.beta * self._sched_estimate(cand) / self.w.schedule_norm)
         return fit[0], fit[1] + sched
-
-
-def _top_two(size: dict, keys) -> tuple:
-    """(key of the largest size, that size, largest size of the other keys)."""
-    best_key, first, second = None, 0, 0
-    for k in keys:
-        v = size[k]
-        if best_key is None or v > first:
-            best_key, first, second = k, v, first
-        elif v > second:
-            second = v
-    return best_key, first, second
 
 
 def _recurrence(port, region_end, makespan, steps):

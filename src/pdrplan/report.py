@@ -139,14 +139,14 @@ def prepare_instance(g: TaskGraph, chip: ChipModel, shape_cfg: ShapeGenConfig,
     return g, lists
 
 
-def postoptimize(sol: Solution, lists: dict, g: TaskGraph, chip: ChipModel,
-                 weights, time_limit: float | None = 60.0):
+def postoptimize(sol: Solution, model, lists: dict, g: TaskGraph,
+                 chip: ChipModel, weights, time_limit: float | None = 60.0):
     """Repair a boundary-violating solution by shape reselection.
 
-    Returns (solution, status): the repaired solution when the reselection
-    program is solved to optimality, the input otherwise.
+    model is build_model(sol.pst, lists, chip).  Returns (solution,
+    result): the repaired solution when the reselection program is solved
+    to optimality, the input otherwise.
     """
-    model = build_model(sol.pst, lists, chip)
     res = solve(model, time_limit)
     if res.status == "optimal":
         return ilp_apply(sol.pst, res.selection, lists, g, chip, weights), res
@@ -173,10 +173,10 @@ def run_pipeline(g: TaskGraph, chip: ChipModel,
         feasible_before = sol.feasible
         repaired = False
         if not sol.feasible:
-            fixed, res = postoptimize(sol, lists, g, chip, weights,
-                                      cfg.postopt_time_limit)
-            repaired = fixed.feasible and not feasible_before
-            sol = fixed
+            model = build_model(sol.pst, lists, chip)
+            sol, _ = postoptimize(sol, model, lists, g, chip, weights,
+                                  cfg.postopt_time_limit)
+            repaired = sol.feasible
         runtime = time.monotonic() - started
         rrt = compute_rrt(sol, chip) if sol.feasible else None
         records.append(RunRecord(

@@ -1,7 +1,7 @@
 """Shared builders and reference oracles for PST-level tests: small graphs,
 random valid PSTs, the exhaustive shape-reselection oracles, and plain
-reference versions of packing, scheduling, rough scoring, chip window
-counts and branch-and-bound pruning that the optimised code in src/ must
+reference versions of packing, scheduling, rough scoring and its extents,
+chip window counts and branch-and-bound pruning that the optimised code in src/ must
 agree with."""
 
 import itertools
@@ -10,7 +10,8 @@ import random
 from pdrplan.chip import Rect, ResourceVector
 from pdrplan.explore import apply_candidate
 from pdrplan.ilp import _Search
-from pdrplan.pst import PST, Placement, ScheduleResult, pack, schedule
+from pdrplan.pst import (PST, Placement, ScheduleResult, pack, region_offsets,
+                         schedule)
 from pdrplan.shapes import Shape
 from pdrplan.taskgraph import Edge, TaskGraph, TaskModule
 
@@ -253,6 +254,43 @@ def per_candidate_rough(ev, cand, shape_list):
     score = (ev.w.alpha * area / ev.w.area_norm
              + ev.w.beta * makespan / ev.w.schedule_norm)
     return shape, score
+
+
+def reference_approx_extents(ev, cand, shape):
+    """Rough design extents of a candidate, its region sized by a scan.
+
+    The resized region is as wide and as tall as the larger of the grown
+    target layer (its best of side by side and stacked; a fresh layer is
+    the shape itself) and every other layer of the region, each layer
+    measured on the evaluator's placement.  The design extents come from
+    one region longest path with that size.  A fresh region keeps the
+    corner rule: it extends the design's row or its column.
+    """
+    if cand.new_region:
+        if cand.ps_pos == cand.qs_pos or not ev.pst.ps:
+            return ev.x_base + shape.w, max(ev.y_base, shape.h)
+        return max(ev.x_base, shape.w), ev.y_base + shape.h
+    p = ev.placement
+    width, height = {}, {}
+    for r, box in p.region_boxes.items():
+        width[r], height[r] = box.w, box.h
+    region = cand.layer[0]
+    rw = rh = 0
+    for key in ev.pst.region_layers[region]:
+        rects = [p.coords[m] for m in ev.pst.layer_members[key]]
+        lw = max(r.x_hi for r in rects) - min(r.x for r in rects) + 1
+        lh = max(r.y_hi for r in rects) - min(r.y for r in rects) + 1
+        if key == cand.layer:
+            side = (lw + shape.w, max(lh, shape.h))
+            stack = (max(lw, shape.w), lh + shape.h)
+            lw, lh = min(side, stack, key=lambda t: t[0] * t[1])
+        rw, rh = max(rw, lw), max(rh, lh)
+    if cand.new_layer:
+        rw, rh = max(rw, shape.w), max(rh, shape.h)
+    width[region], height[region] = rw, rh
+    off_x, off_y = region_offsets(*ev.pst.region_spans, width, height)
+    return (max(off_x[r] + width[r] for r in off_x),
+            max(off_y[r] + height[r] for r in off_y))
 
 
 def scan_min_column_counts(chip, w):

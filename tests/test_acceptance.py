@@ -294,7 +294,9 @@ def test_criterion_8_postopt_repair():
         assert brute_force_best_objective(pst, lists, CHIP) is not None, (
             f"seed {seed}: no feasible assignment exists at all")
         started = time.monotonic()
-        fixed, res = postoptimize(sol, lists, g, CHIP, w, time_limit=60.0)
+        model = build_model(pst, lists, CHIP)
+        fixed, res = postoptimize(sol, model, lists, g, CHIP, w,
+                                  time_limit=60.0)
         assert time.monotonic() - started <= 60.0
         before += sol.feasible
         after += fixed.feasible

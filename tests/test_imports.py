@@ -1,4 +1,6 @@
-"""Lint step: every imported name in the package and the tests is read.
+"""Lint steps: every imported name in the package and the tests is read,
+and so is every attribute the package sets on self and every private
+function or method it defines.
 
 An ast walk collects the names each module binds by import and the names
 it reads; a name inside a quoted annotation does not count as read.  Two
@@ -6,6 +8,12 @@ kinds of imports are kept on purpose: the package's __init__.py re-exports
 its API, and the planner modules import the (module, attribute) names that
 planbench/tracing.py WRAPS, so that the benchmark's tracer can replace
 them there.
+
+Attributes and private functions are matched by name over the package and
+the tests together: `self.x = ...` counts as read if some `.x` is loaded
+anywhere, and a private function `_f` if `_f` is loaded as a name or as an
+attribute.  A local variable that shares an attribute's name does not
+count as a read of the attribute.
 """
 
 import ast
@@ -44,3 +52,38 @@ def test_every_import_is_read():
                 continue
             unused.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not unused, "imported but never read:\n" + "\n".join(unused)
+
+
+def _definitions(tree):
+    """(kind, name, line) of every attribute assigned on self and every
+    private (single leading underscore, not dunder) function or method."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            yield "attribute", node.attr, node.lineno
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.name.startswith("_") and not node.name.endswith("__")):
+            yield "function", node.name, node.lineno
+
+
+def test_every_self_attribute_and_private_function_is_read():
+    attrs_read, names_read = set(), set()
+    trees = {}
+    for path in FILES:
+        tree = trees[path] = ast.parse(path.read_text(encoding="utf-8"),
+                                       str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs_read.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names_read.add(node.id)
+    unread = []
+    for path, tree in trees.items():
+        if path.parent.name != "pdrplan":
+            continue
+        for kind, name, line in _definitions(tree):
+            read = name in attrs_read or (kind == "function"
+                                          and name in names_read)
+            if not read:
+                unread.append(f"{path.relative_to(ROOT)}:{line}: {kind} {name}")
+    assert not unread, "defined but never read:\n" + "\n".join(unread)

@@ -1,8 +1,8 @@
 """Property tests: the text formats round-trip, schedules respect their
-lower bounds, the optimised packing, schedule, rough scoring, chip window
-counts and branch-and-bound pruning agree with the plain reference
-versions in helpers.py, and the rough extents of a fresh layer or region
-equal those of a full pack."""
+lower bounds, the optimised packing, schedule, rough scoring and its
+extents, chip window counts and branch-and-bound pruning agree with the
+plain reference versions in helpers.py, and the rough extents of a fresh
+layer or region equal those of a full pack."""
 
 import functools
 import random
@@ -11,8 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (layered_pst, make_graph, module_level_pack,
-                     per_candidate_rough, random_pst, reference_schedule,
-                     reference_solve, scan_min_column_counts)
+                     per_candidate_rough, random_pst, reference_approx_extents,
+                     reference_schedule, reference_solve,
+                     scan_min_column_counts)
 from pdrplan.chip import ChipModel, ResourceVector, builtin_xc7vx485t, load_chip
 from pdrplan.explore import (RoughEvaluator, apply_candidate,
                              enumerate_insertions, initial_solution)
@@ -185,6 +186,18 @@ def test_class_scores_equal_per_candidate_scores(name, seed):
     for cand in enumerate_insertions(without, m, g):
         assert ev.evaluate(cand, lists[m]) == per_candidate_rough(
             ev, cand, lists[m])
+
+
+@MOVES
+@given(PRESETS, st.integers(0, 2**32 - 1))
+def test_rough_extents_equal_other_layer_scan(name, seed):
+    """Every candidate and shape of a random move gets the extents of the
+    scan over the target region's other layers."""
+    g, lists, without, _, m, ev = random_move(name, seed)
+    for cand in enumerate_insertions(without, m, g):
+        for shape in lists[m].shapes:
+            assert ev._approx_extents(cand, shape) == reference_approx_extents(
+                ev, cand, shape)
 
 
 @MOVES

@@ -140,6 +140,32 @@ class TestPack:
                 assert (box.x <= r.x and box.y <= r.y
                         and r.x_hi <= box.x_hi and r.y_hi <= box.y_hi)
 
+    def test_region_box_is_its_largest_layer(self, chip):
+        """Each region box is exactly as wide and as tall as the bounding
+        box of its largest layer, and every layer starts at its corner."""
+        rng = random.Random(11)
+        for _ in range(60):
+            n = rng.randint(1, 20)
+            g = make_graph(n)
+            pst = random_pst(rng, g.module_ids)
+            shapes = {m: Shape(rng.randint(1, 12), 5 * rng.randint(1, 8))
+                      for m in g.module_ids}
+            p = pack(pst, shapes, chip)
+            widths, heights = {}, {}
+            for key, members in pst.layer_members.items():
+                rects = [p.coords[m] for m in members]
+                box = p.region_boxes[key[0]]
+                assert min(r.x for r in rects) == box.x
+                assert min(r.y for r in rects) == box.y
+                widths.setdefault(key[0], []).append(
+                    max(r.x_hi for r in rects) - box.x + 1)
+                heights.setdefault(key[0], []).append(
+                    max(r.y_hi for r in rects) - box.y + 1)
+            assert set(p.region_boxes) == set(widths)
+            for region, box in p.region_boxes.items():
+                assert box.w == max(widths[region])
+                assert box.h == max(heights[region])
+
     def test_is_feasible_boundary(self, chip):
         pst = single_layer_pst(["m1"])
         p = pack(pst, {"m1": Shape(146, 350)}, chip)
