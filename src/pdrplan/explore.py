@@ -47,7 +47,8 @@ class SAConfig:
     min_temperature as 1e-3 x initial.  time_limit bounds the probe moves
     as well as the annealing proper.  Each move samples at most
     MAX_CANDIDATES insertion points and re-costs the ROUGH_KEEP_K with the
-    best rough scores exactly.
+    best rough scores exactly.  Restart k seeds its chain with
+    seed * restarts + k, so configs whose seeds differ share no chain.
     """
 
     initial_temperature: float | None = None
@@ -228,15 +229,14 @@ class RoughEvaluator:
     same floats a per-candidate computation gives.
     """
 
-    def __init__(self, pst: PST, shapes: dict, g: TaskGraph, chip: ChipModel,
+    def __init__(self, pst: PST, shapes: dict, g: TaskGraph,
                  weights: CostWeights, moved: str):
         self.pst = pst
         self.shapes = shapes
         self.g = g
-        self.chip = chip
         self.w = weights
         self.moved = moved
-        self.placement = pack(pst, shapes, chip)
+        self.placement = pack(pst, shapes)
         self.x_base = self.placement.x_max
         self.y_base = self.placement.y_max
 
@@ -446,8 +446,7 @@ class _Chain:
         cands = enumerate_insertions(without, m, self.g)
         if len(cands) > MAX_CANDIDATES:
             cands = self.rng.sample(cands, MAX_CANDIDATES)
-        rough = RoughEvaluator(without, self.shapes, self.g, self.chip,
-                               self.w, m)
+        rough = RoughEvaluator(without, self.shapes, self.g, self.w, m)
         for cand in cands:
             cand.shape, cand.score = rough.evaluate(cand, self.lists[m])
         cands.sort(key=lambda c: c.score)
@@ -515,8 +514,8 @@ def anneal(g: TaskGraph, shape_lists: dict, chip: ChipModel,
     best = None
     best_feasible = None
     for k in range(cfg.restarts):
-        chain = _Chain(g, shape_lists, chip, cfg, weights, cfg.seed + k,
-                       deadline)
+        chain = _Chain(g, shape_lists, chip, cfg, weights,
+                       cfg.seed * cfg.restarts + k, deadline)
         chain.run(k, trace)
         if best is None or chain.best[2].total < best[2].total:
             best = chain.best

@@ -9,15 +9,18 @@ away from the chip boundary: maximize (Width - Xmax) + (Height - Ymax).
 
 The model is kept in structured form only: shape dimensions per module
 plus the sequence-pair relations (Murata et al., IEEE TCAD 1996).  The
-bundled solver branches on the selection rows and bounds extents via
-longest paths over per-module minimum remaining widths/heights, which
-never overestimate any completion.  At each node it also drops, for the
-bound only, every shape whose longest path (head + size + tail) breaks
-the extent budget that beating the incumbent leaves, repeating until no
-shape goes; a node is pruned when a module loses all its shapes or the
-bound over the survivors cannot beat the incumbent's (objective, -area).
-export_lp spells the same model out row by row in CPLEX LP text form for
-use with external solvers.
+bundled solver branches on the selection rows.  One longest-path routine
+serves it: over predecessor lists in dependency order it gives each
+module's head, over successor lists in the reverse order its tail.  With
+every module at its least remaining width and height, the heads give
+extents no completion undercuts.  Shapes whose longest path (head + size
++ tail) breaks the extent budget that beating the incumbent leaves are
+dropped for the bound only, until none goes.  The one bound, (objective
+upper bound, -least total area) over the survivors, prunes a node unless
+it beats the incumbent's key; on a full assignment it is the assignment's
+own key, so seeds and leaves are judged by the same call.  export_lp
+spells the same model out row by row in CPLEX LP text form for use with
+external solvers.
 """
 
 from __future__ import annotations
@@ -105,10 +108,10 @@ def build_model(pst: PST, shape_lists: dict, chip: ChipModel) -> ILPModel:
 
 class _Search:
     def __init__(self, model: ILPModel, time_limit):
-        self.model = model
         self.modules = model.modules
+        self.width, self.height = model.width, model.height
         self.n = len(self.modules)
-        self.idx = {m: i for i, m in enumerate(self.modules)}
+        idx = {m: i for i, m in enumerate(self.modules)}
         self.dims = [model.shape_dims[m] for m in self.modules]
         self.h_preds = [[] for _ in range(self.n)]
         self.v_preds = [[] for _ in range(self.n)]
@@ -117,13 +120,13 @@ class _Search:
         for pairs, preds, succs in ((model.h_pairs, self.h_preds, self.h_succs),
                                     (model.v_pairs, self.v_preds, self.v_succs)):
             for a, b in pairs:
-                preds[self.idx[b]].append(self.idx[a])
-                succs[self.idx[a]].append(self.idx[b])
+                preds[idx[b]].append(idx[a])
+                succs[idx[a]].append(idx[b])
         # Longest paths are evaluated in dependency order.  Model order is
         # ps order: in a horizontal pair (a, b), a comes first in ps; in a
         # vertical one the lower module a comes later (Murata et al.).  So
         # model order suits the horizontal relations, its reverse the
-        # vertical ones.
+        # vertical ones; tails walk the successors the opposite way.
         self.h_order = list(range(self.n))
         self.v_order = self.h_order[::-1]
         self.deadline = (time.monotonic() + time_limit
@@ -133,8 +136,13 @@ class _Search:
         self.best_choice = None
         self.timed_out = False
 
-    def _extent(self, order, preds, size):
-        """Longest-path extent plus a module on the critical path."""
+    def _longest(self, order, preds, size):
+        """Longest path into each module over the given relation lists.
+
+        Predecessor lists in dependency order give each module's head
+        (its lowest coordinate); successor lists in the reverse order give
+        its tail (the longest path from its far edge to the extent).
+        """
         pos = [0] * self.n
         for i in order:
             best = 0
@@ -143,14 +151,24 @@ class _Search:
                 if v > best:
                     best = v
             pos[i] = best
-        ext = 0
-        arg = -1
-        for i in range(self.n):
-            v = pos[i] + size[i]
-            if v > ext:
-                ext = v
-                arg = i
-        return ext, arg, pos
+        return pos
+
+    def _paths(self, shapes):
+        """(extent, critical end, heads, sizes) per axis, x then y, with
+        every module at its least width and height among its shapes; the
+        critical end is the module ending the extent, -1 at extent 0."""
+        axes = []
+        for k, order, preds in ((0, self.h_order, self.h_preds),
+                                (1, self.v_order, self.v_preds)):
+            size = [min(d[j][k] for j in s) for d, s in zip(self.dims, shapes)]
+            head = self._longest(order, preds, size)
+            ext, arg = 0, -1
+            for i in range(self.n):
+                v = head[i] + size[i]
+                if v > ext:
+                    ext, arg = v, i
+            axes.append((ext, arg, head, size))
+        return axes
 
     def _critical_modules(self, arg, preds, pos, size):
         path = []
@@ -164,31 +182,13 @@ class _Search:
                     cur = p
                     break
 
-    def _bound(self, allowed):
-        wmin = [min(self.dims[i][j][0] for j in allowed[i]) for i in range(self.n)]
-        hmin = [min(self.dims[i][j][1] for j in allowed[i]) for i in range(self.n)]
-        xext, xarg, xpos = self._extent(self.h_order, self.h_preds, wmin)
-        yext, yarg, ypos = self._extent(self.v_order, self.v_preds, hmin)
-        return xext, yext, (xarg, xpos, wmin), (yarg, ypos, hmin)
-
-    def _tails(self, order, succs, size):
-        """Longest path from each module's far edge to the extent."""
-        tail = [0] * self.n
-        for i in reversed(order):
-            best = 0
-            for s in succs[i]:
-                v = size[s] + tail[s]
-                if v > best:
-                    best = v
-            tail[i] = best
-        return tail
-
     def _area_lb(self, allowed):
         return sum(min(w * h for w, h in (self.dims[i][j] for j in allowed[i]))
                    for i in range(self.n))
 
-    def _can_improve(self, allowed, xext, yext, xinfo, yinfo):
-        """Whether some completion of allowed may beat the incumbent.
+    def _can_improve(self, allowed, paths):
+        """The (objective, -area) bound of allowed's completions when it
+        beats the incumbent's key, else None; paths is _paths(allowed).
 
         A completion beating an incumbent of objective obj has
         X + Y <= S = W + H - obj, so X <= min(W, S - Y_lb) and
@@ -196,83 +196,66 @@ class _Search:
         apply.  A shape of module i survives if the longest path through
         it (head + size + tail under per-module minima) fits both caps.
         Filtering repeats with the surviving shapes' minima until nothing
-        more goes; then (ub, -area lb) over the survivors must beat the
-        incumbent's key.  The survivors feed only this bound: branching
-        still runs over allowed, so leaves are met in the same order.
+        more goes; the bound is (W - X_lb) + (H - Y_lb) and minus the
+        least total area over the survivors.  A full assignment loses no
+        shape, so its bound is its own key.  The survivors feed only this
+        bound: branching still runs over allowed, so leaves are met in
+        the same order.
         """
-        width, height = self.model.width, self.model.height
+        width, height = self.width, self.height
         dims = self.dims
         best = self.best_key
         budget = None if best is None else width + height - best[0]
-        _, xpos, wmin = xinfo
-        _, ypos, hmin = yinfo
         shapes = allowed
         while True:
+            (xext, _, xhead, wmin), (yext, _, yhead, hmin) = paths
             if xext > width or yext > height:
-                return False
+                return None
             xcap, ycap = width, height
             if budget is not None:
                 if xext + yext > budget:
-                    return False
+                    return None
                 xcap = min(width, budget - yext)
                 ycap = min(height, budget - xext)
-            xtail = self._tails(self.h_order, self.h_succs, wmin)
-            ytail = self._tails(self.v_order, self.v_succs, hmin)
+            xtail = self._longest(self.v_order, self.h_succs, wmin)
+            ytail = self._longest(self.h_order, self.v_succs, hmin)
             kept_all = []
             changed = False
             for i in range(self.n):
-                wcap = xcap - xpos[i] - xtail[i]
-                hcap = ycap - ypos[i] - ytail[i]
+                wcap = xcap - xhead[i] - xtail[i]
+                hcap = ycap - yhead[i] - ytail[i]
                 d = dims[i]
                 kept = [j for j in shapes[i]
                         if d[j][0] <= wcap and d[j][1] <= hcap]
                 if not kept:
-                    return False
+                    return None
                 if len(kept) < len(shapes[i]):
                     changed = True
                 kept_all.append(kept)
-            shapes = kept_all
             if not changed:
                 break
-            wmin = [min(dims[i][j][0] for j in shapes[i]) for i in range(self.n)]
-            hmin = [min(dims[i][j][1] for j in shapes[i]) for i in range(self.n)]
-            xext, _, xpos = self._extent(self.h_order, self.h_preds, wmin)
-            yext, _, ypos = self._extent(self.v_order, self.v_preds, hmin)
-        if best is None:
-            return True
-        ub = (width - xext) + (height - yext)
-        return (ub, -self._area_lb(shapes)) > best
-
-    def try_assignment(self, choice):
-        """Evaluate a full assignment; update the incumbent if feasible."""
-        w = [self.dims[i][choice[i]][0] for i in range(self.n)]
-        h = [self.dims[i][choice[i]][1] for i in range(self.n)]
-        xext, _, _ = self._extent(self.h_order, self.h_preds, w)
-        yext, _, _ = self._extent(self.v_order, self.v_preds, h)
-        if xext > self.model.width or yext > self.model.height:
-            return
-        obj = (self.model.width - xext) + (self.model.height - yext)
-        area = sum(wi * hi for wi, hi in zip(w, h))
-        key = (obj, -area)
-        if self.best_key is None or key > self.best_key:
-            self.best_key = key
-            self.best_choice = list(choice)
+            shapes = kept_all
+            paths = self._paths(shapes)
+        key = ((width - xext) + (height - yext), -self._area_lb(shapes))
+        return key if best is None or key > best else None
 
     def run(self) -> SolveResult:
         """Seed the incumbent, search, and report; see solve."""
         start = time.monotonic()
         dims = self.dims
-        width, height = self.model.width, self.model.height
-        if self.n:
-            min_area = [min(range(len(dims[i])),
-                            key=lambda j: (dims[i][j][0] * dims[i][j][1], j))
-                        for i in range(self.n)]
-            self.try_assignment(min_area)
-            balanced = [min(range(len(dims[i])),
-                            key=lambda j: (dims[i][j][0] / width
-                                           + dims[i][j][1] / height, j))
-                        for i in range(self.n)]
-            self.try_assignment(balanced)
+        width, height = self.width, self.height
+        min_area = [min(range(len(dims[i])),
+                        key=lambda j: (dims[i][j][0] * dims[i][j][1], j))
+                    for i in range(self.n)]
+        balanced = [min(range(len(dims[i])),
+                        key=lambda j: (dims[i][j][0] / width
+                                       + dims[i][j][1] / height, j))
+                    for i in range(self.n)]
+        for choice in (min_area, balanced):
+            leaf = [[j] for j in choice]
+            key = self._can_improve(leaf, self._paths(leaf))
+            if key is not None:
+                self.best_key, self.best_choice = key, choice
         self.dfs([list(range(len(dims[i]))) for i in range(self.n)])
         wall = time.monotonic() - start
         if self.timed_out:
@@ -296,15 +279,14 @@ class _Search:
             self.timed_out = True
             return
         self.nodes += 1
-        xext, yext, xinfo, yinfo = self._bound(allowed)
-        if not self._can_improve(allowed, xext, yext, xinfo, yinfo):
+        paths = self._paths(allowed)
+        key = self._can_improve(allowed, paths)
+        if key is None:
             return
         if all(len(a) == 1 for a in allowed):
-            self.try_assignment([a[0] for a in allowed])
+            self.best_key, self.best_choice = key, [a[0] for a in allowed]
             return
-        branch = self._pick_branch(allowed, xext, yext, xinfo, yinfo)
-        x_binding = xext / self.model.width >= yext / self.model.height
-        dim = 0 if x_binding else 1
+        branch, dim = self._pick_branch(allowed, paths)
         shape_order = sorted(allowed[branch],
                              key=lambda j: (self.dims[branch][j][dim],
                                             self.dims[branch][j][1 - dim]))
@@ -316,35 +298,35 @@ class _Search:
             if self.timed_out:
                 return
 
-    def _pick_branch(self, allowed, xext, yext, xinfo, yinfo):
-        """Prefer undecided modules on the binding critical path."""
-        x_binding = xext / self.model.width >= yext / self.model.height
-        infos = (xinfo, yinfo) if x_binding else (yinfo, xinfo)
-        preds = ((self.h_preds, self.v_preds) if x_binding
-                 else (self.v_preds, self.h_preds))
-        for (arg, pos, size), pred in zip(infos, preds):
+    def _pick_branch(self, allowed, paths):
+        """(module, binding dimension): prefer undecided modules on the
+        critical path of the binding axis, then of the other one."""
+        dim = 0 if paths[0][0] / self.width >= paths[1][0] / self.height else 1
+        preds = (self.h_preds, self.v_preds)
+        for k in (dim, 1 - dim):
+            _, arg, head, size = paths[k]
             if arg < 0:
                 continue
-            for i in self._critical_modules(arg, pred, pos, size):
+            for i in self._critical_modules(arg, preds[k], head, size):
                 if len(allowed[i]) > 1:
-                    return i
+                    return i, dim
         for i in range(self.n):
             if len(allowed[i]) > 1:
-                return i
+                return i, dim
         raise AssertionError("no branchable module at an interior node")
 
 
 def solve(model: ILPModel, time_limit: float | None = None) -> SolveResult:
     """Exact optimum of the reselection program, or timeout incumbent.
 
-    Seeds the incumbent with two greedy assignments (all minimum-area
-    shapes; per-module least normalized half-perimeter), then runs
-    depth-first branch and bound.  A node is pruned unless some
-    completion can still beat the incumbent's (objective, -total area):
-    each module's shapes are filtered against the extent budget the
-    incumbent leaves, and the bound is taken over the survivors.  Ties in
-    that key go to the first assignment met.  Deterministic for a fixed
-    model.
+    Offers two greedy assignments (all minimum-area shapes; per-module
+    least normalized half-perimeter), then runs depth-first branch and
+    bound.  Seeds, leaves and inner nodes all pass one bound on
+    (objective, -total area): each module's shapes are filtered against
+    the extent budget the incumbent leaves, and the bound is taken over
+    the survivors; on a full assignment it is exact.  Only what beats the
+    incumbent's key is kept, so every incumbent fits the chip and ties go
+    to the first assignment met.  Deterministic for a fixed model.
     """
     return _Search(model, time_limit).run()
 
@@ -417,14 +399,15 @@ def apply(pst: PST, selection: dict, shape_lists: dict,
     """Re-pack, re-schedule, and re-cost under the selected shapes.
 
     selection maps each module id to an index into its shape list.
-    The PST is untouched; only shapes change.  A solve() optimum must
-    re-pack inside the boundary (the pairwise constraints dominate the
-    longest-path recurrence), so a violation here is a solver bug.
+    The PST is untouched; only shapes change.  Every selection solve()
+    returns must re-pack inside the boundary (the pairwise constraints
+    dominate the longest-path recurrence), so a violation here is a solver
+    bug.
     """
     shapes = {m: shape_lists[m].shapes[j] for m, j in selection.items()}
     sol = evaluate(pst, shapes, g, chip, weights)
     if not sol.feasible:
         raise RuntimeError(
-            "internal solver error: optimal selection re-packs outside the chip "
+            "internal solver error: selection re-packs outside the chip "
             f"({sol.placement.x_max}x{sol.placement.y_max})")
     return sol

@@ -204,7 +204,7 @@ def region_offsets(ps_span: dict, qs_span: dict, width: dict,
     return off_x, off_y
 
 
-def pack(pst: PST, shapes: dict, chip: ChipModel) -> Placement:
+def pack(pst: PST, shapes: dict) -> Placement:
     """Longest-path evaluation of the filtered sequence pair, by layer.
 
     Every module of a region is related to every module of another region
@@ -529,7 +529,7 @@ def evaluate(pst: PST, shapes: dict, g: TaskGraph, chip: ChipModel,
     same size.
     """
     w = weights.resolve(g, chip)
-    p = pack(pst, shapes, chip)
+    p = pack(pst, shapes)
     s = schedule(pst, g)
     costs = cost_from_parts(p, s, g, chip, w)
     return Solution(pst=pst, shapes=dict(shapes), placement=p, timeline=s,

@@ -144,11 +144,13 @@ def postoptimize(sol: Solution, model, lists: dict, g: TaskGraph,
     """Repair a boundary-violating solution by shape reselection.
 
     model is build_model(sol.pst, lists, chip).  Returns (solution,
-    result): the repaired solution when the reselection program is solved
-    to optimality, the input otherwise.
+    result): the solution re-packed under the selection whenever the search
+    returns one, the input otherwise.  Every incumbent the search records
+    fits the chip, so a timeout's incumbent repairs the solution too, if
+    not always with the largest slack.
     """
     res = solve(model, time_limit)
-    if res.status == "optimal":
+    if res.selection is not None:
         return ilp_apply(sol.pst, res.selection, lists, g, chip, weights), res
     return sol, res
 

@@ -15,7 +15,11 @@ from .chip import ChipModel
 from .errors import InputFileError
 from .pst import CostWeights, PST, Solution, evaluate, validate
 from .shapes import Shape
-from .taskgraph import TaskGraph
+from .taskgraph import TaskGraph, parse_kv
+
+_PLACE_KEYS = dict.fromkeys(("region", "layer", "x", "y", "w", "h"), int)
+_METRIC_KEYS = dict.fromkeys(("makespan", "total", "area", "schedule", "comm",
+                              "hetero", "x_max", "y_max", "feasible"), float)
 
 
 def _fmt_layer(key) -> str:
@@ -65,7 +69,7 @@ def parse_solution(text: str, source: str = "<solution>"):
             continue
         tokens = line.split()
         kind = tokens[0]
-        if kind in ("ps", "qs", "rs") and kind in seen:
+        if kind in ("ps", "qs", "rs", "metrics") and kind in seen:
             raise InputFileError(f"{source}:{lineno}: second {kind} line")
         seen.add(kind)
         if kind == "ps":
@@ -81,17 +85,7 @@ def parse_solution(text: str, source: str = "<solution>"):
             if mid in partition:
                 raise InputFileError(
                     f"{source}:{lineno}: second place line for module {mid}")
-            kv = {}
-            for tok in tokens[2:]:
-                if "=" not in tok:
-                    raise InputFileError(
-                        f"{source}:{lineno}: expected key=value, got {tok!r}")
-                k, v = tok.split("=", 1)
-                try:
-                    kv[k] = int(v)
-                except ValueError:
-                    raise InputFileError(
-                        f"{source}:{lineno}: bad value {v!r} for {k}") from None
+            kv = parse_kv(tokens[2:], _PLACE_KEYS, source, lineno)
             missing = [k for k in ("region", "layer", "w", "h") if k not in kv]
             if missing:
                 raise InputFileError(
@@ -99,16 +93,7 @@ def parse_solution(text: str, source: str = "<solution>"):
             partition[mid] = (kv["region"], kv["layer"])
             shapes[mid] = Shape(kv["w"], kv["h"])
         elif kind == "metrics":
-            for tok in tokens[1:]:
-                if "=" not in tok:
-                    raise InputFileError(
-                        f"{source}:{lineno}: expected key=value, got {tok!r}")
-                k, v = tok.split("=", 1)
-                try:
-                    metrics[k] = float(v)
-                except ValueError:
-                    raise InputFileError(
-                        f"{source}:{lineno}: bad metric {tok!r}") from None
+            metrics = parse_kv(tokens[1:], _METRIC_KEYS, source, lineno)
         else:
             raise InputFileError(f"{source}:{lineno}: unknown directive {kind!r}")
     if ps is None or qs is None or rs is None:

@@ -184,18 +184,25 @@ def assign_conf_times(g: TaskGraph, min_shape_areas, cfg_rate: float) -> TaskGra
 # ----------------------------------------------------------------------
 # file format
 
-def _parse_kv(tokens, allowed, source, lineno):
+_MODULE_KEYS = {"clb": int, "bram": int, "dsp": int, "exec": float,
+                "conf": float}
+
+
+def parse_kv(tokens, types: dict, source: str, lineno: int) -> dict:
+    """The key=value tokens of one input line, each value converted by
+    types[key]; a malformed token, an unknown or repeated key or a bad value
+    is an InputFileError naming source:lineno."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
             raise InputFileError(f"{source}:{lineno}: expected key=value, got {tok!r}")
         key, val = tok.split("=", 1)
-        if key not in allowed:
+        if key not in types:
             raise InputFileError(f"{source}:{lineno}: unknown attribute {key!r}")
         if key in out:
             raise InputFileError(f"{source}:{lineno}: duplicate attribute {key!r}")
         try:
-            out[key] = float(val) if key in ("exec", "conf", "weight") else int(val)
+            out[key] = types[key](val)
         except ValueError:
             raise InputFileError(f"{source}:{lineno}: bad value {val!r} for {key}") from None
     return out
@@ -223,8 +230,7 @@ def parse_graph(text: str, source: str = "<graph>") -> TaskGraph:
             if mid in seen:
                 raise InputFileError(f"{source}:{lineno}: duplicate module {mid!r}")
             seen.add(mid)
-            kv = _parse_kv(tokens[2:], ("clb", "bram", "dsp", "exec", "conf"),
-                           source, lineno)
+            kv = parse_kv(tokens[2:], _MODULE_KEYS, source, lineno)
             missing = [k for k in ("clb", "bram", "dsp", "exec") if k not in kv]
             if missing:
                 raise InputFileError(
@@ -242,7 +248,7 @@ def parse_graph(text: str, source: str = "<graph>") -> TaskGraph:
             if len(tokens) < 3:
                 raise InputFileError(f"{source}:{lineno}: edge line needs src and dst")
             src, dst = tokens[1], tokens[2]
-            kv = _parse_kv(tokens[3:], ("weight",), source, lineno)
+            kv = parse_kv(tokens[3:], {"weight": float}, source, lineno)
             if "weight" not in kv:
                 raise InputFileError(f"{source}:{lineno}: edge {src}->{dst}: missing weight")
             try:

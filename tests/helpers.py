@@ -141,7 +141,7 @@ def rects_overlap(a, b):
 def selection_key(pst, shapes, chip):
     """(objective, -total area) of a shape assignment under pack(), or
     None when it leaves the chip."""
-    p = pack(pst, shapes, chip)
+    p = pack(pst, shapes)
     if p.x_max > chip.width or p.y_max > chip.height:
         return None
     return ((chip.width - p.x_max) + (chip.height - p.y_max),
@@ -173,13 +173,13 @@ class _ReferenceSearch(_Search):
     paths over every remaining shape's minima leave the chip or cannot
     beat the incumbent's (objective, -area lower bound)."""
 
-    def _can_improve(self, allowed, xext, yext, xinfo, yinfo):
-        if xext > self.model.width or yext > self.model.height:
-            return False
-        if self.best_key is None:
-            return True
-        ub = (self.model.width - xext) + (self.model.height - yext)
-        return (ub, -self._area_lb(allowed)) > self.best_key
+    def _can_improve(self, allowed, paths):
+        (xext, *_), (yext, *_) = paths
+        if xext > self.width or yext > self.height:
+            return None
+        key = ((self.width - xext) + (self.height - yext),
+               -self._area_lb(allowed))
+        return key if self.best_key is None or key > self.best_key else None
 
 
 def reference_solve(model, time_limit=None):
@@ -202,7 +202,7 @@ def exact_rough_evaluate(ev, cand, shape_list):
     for shape in shape_list.shapes:
         shapes = dict(ev.shapes)
         shapes[ev.moved] = shape
-        p = pack(new_pst, shapes, ev.chip)
+        p = pack(new_pst, shapes)
         key = (p.x_max * p.y_max, shape.area)
         if best is None or key < best[0]:
             best = (key, shape, p.x_max * p.y_max)
@@ -299,7 +299,7 @@ def scan_min_column_counts(chip, w):
     return tuple(min(c[k] for c in counts) for k in range(3))
 
 
-def module_level_pack(pst, shapes, chip):
+def module_level_pack(pst, shapes):
     """Reference pack: one longest path over all module pairs.
 
     Two modules are related iff they sit in different regions or share a

@@ -127,7 +127,7 @@ def test_criterion_4_packing_legality():
         assert validate(pst, g) == []
         shapes = {m: Shape(rng.randint(1, 25), 5 * rng.randint(1, 12))
                   for m in ids}
-        p = pack(pst, shapes, CHIP)
+        p = pack(pst, shapes)
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
                 if pst.partition[a] == pst.partition[b]:

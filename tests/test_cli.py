@@ -200,3 +200,19 @@ class TestSolutionShapes:
                                 "--solution", sol], capsys)
         assert code == 2
         assert f"{sol}:7: second place line for module m1" in err
+
+    @pytest.mark.parametrize("extra, what", [
+        (" w=146", "duplicate attribute 'w'"),
+        (" bogus=7", "unknown attribute 'bogus'"),
+    ])
+    def test_repeated_or_unknown_place_key_rejected(self, graph_file, tmp_path,
+                                                   capsys, extra, what):
+        sol = self.plan(tmp_path, graph_file, lambda m, w, h: (w, h))
+        lines = Path(sol).read_text().splitlines()
+        assert lines[3].startswith("place m1 ")
+        lines[3] += extra
+        Path(sol).write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(["metrics", "--graph", graph_file,
+                                "--solution", sol], capsys)
+        assert code == 2
+        assert f"{sol}:4: {what}" in err

@@ -54,7 +54,7 @@ class TestInitialSolution:
         g = make_graph(10)
         lists = {m: ShapeList(m, (Shape(60, 10),)) for m in g.module_ids}
         pst = initial_solution(g, lists, chip)
-        p = pack(pst, {m: Shape(60, 10) for m in g.module_ids}, chip)
+        p = pack(pst, {m: Shape(60, 10) for m in g.module_ids})
         assert p.x_max <= chip.width
 
     def test_t10_scale_valid_and_bounded(self, chip):
@@ -117,7 +117,7 @@ class TestRoughEvaluate:
         pst = initial_solution(g, lists, chip)
         without = pst.without("m2")
         cands = enumerate_insertions(without, "m2", g)
-        ev = RoughEvaluator(without, {"m1": Shape(6, 10)}, g, chip,
+        ev = RoughEvaluator(without, {"m1": Shape(6, 10)}, g,
                             CostWeights().resolve(g, chip), "m2")
         shape, score = ev.evaluate(cands[0], lists["m2"])
         assert shape == Shape(6, 10)
@@ -131,13 +131,13 @@ class TestRoughEvaluate:
         shapes = {m: lists[m].shapes[0] for m in g.module_ids}
         for m in list(g.module_ids)[:3]:
             without = pst.without(m)
-            ev = RoughEvaluator(without, shapes, g, chip, w, m)
+            ev = RoughEvaluator(without, shapes, g, w, m)
             for cand in enumerate_insertions(without, m, g)[:10]:
                 shape, score = exact_rough_evaluate(ev, cand, lists[m])
                 applied = apply_candidate(without, m, cand)
                 trial = dict(shapes)
                 trial[m] = shape
-                p = pack(applied, trial, chip)
+                p = pack(applied, trial)
                 s = schedule(applied, g)
                 expect = (w.alpha * (p.x_max * p.y_max) / w.area_norm
                           + w.beta * s.makespan / w.schedule_norm)
@@ -153,7 +153,7 @@ class TestRoughEvaluate:
                   partition={"m1": (0, 0)})
         shapes = {"m1": Shape(140, 345)}
         w = CostWeights(beta=0, gamma_comm=0, lambda_=0).resolve(g, chip)
-        ev = RoughEvaluator(pst, shapes, g, chip, w, "m2")
+        ev = RoughEvaluator(pst, shapes, g, w, "m2")
         m2_list = ShapeList("m2", (Shape(5, 100), Shape(100, 5)))
         above = [c for c in enumerate_insertions(pst, "m2", g)
                  if not c.new_layer and c.ps_pos == 0 and c.qs_pos == 1][0]

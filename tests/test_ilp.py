@@ -122,6 +122,31 @@ class TestSolve:
         assert res.status == "infeasible"
         assert res.selection is None
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_tails_prune_the_root_of_a_chain(self, axis):
+        """Three modules in a row (or a column) on a side 40 long: m1's
+        long shape (25) plus the two modules after it (10 each) overruns
+        the side, so the root drops that shape, and the bound left is the
+        balanced seed's own key.  The search stops at the root; a tail
+        that missed the last module would keep the long shape and branch.
+        """
+        long, short, unit = (25, 5), (15, 10), (10, 5)
+        if axis == "x":
+            toy = toy_chip(width=40, height=60)
+            pst = single_layer_pst(["m1", "m2", "m3"])
+        else:
+            toy = toy_chip(width=60, height=40)
+            pst = PST(ps=["m3", "m2", "m1"], qs=["m1", "m2", "m3"],
+                      rs=[(0, 0)], partition={m: (0, 0)
+                                              for m in ("m1", "m2", "m3")})
+            long, short, unit = long[::-1], short[::-1], unit[::-1]
+        lists = {"m1": ShapeList("m1", (Shape(*long), Shape(*short))),
+                 "m2": ShapeList("m2", (Shape(*unit),)),
+                 "m3": ShapeList("m3", (Shape(*unit),))}
+        res = solve(build_model(pst, lists, toy))
+        assert (res.status, res.objective, res.nodes) == ("optimal", 55.0, 1)
+        assert res.selection == {"m1": 1, "m2": 0, "m3": 0}
+
     def test_matches_brute_force_on_random_instances(self):
         rng = random.Random(21)
         toy = toy_chip()
@@ -234,7 +259,7 @@ class TestApply:
         sel = {"m1": 0, "m2": 0}
         sol = apply(pst, sel, lists, g, chip, w)
         shapes = {m: lists[m].shapes[0] for m in ("m1", "m2")}
-        assert sol.placement.coords == pack(pst, shapes, chip).coords
+        assert sol.placement.coords == pack(pst, shapes).coords
         assert sol.pst == pst
 
     def test_repairs_boundary_violation(self):
@@ -247,7 +272,7 @@ class TestApply:
         lists = {m: ShapeList(m, (Shape(7, 40), Shape(12, 25)))
                  for m in ("m1", "m2")}
         w = CostWeights().resolve(g, toy)
-        start = pack(pst, {m: lists[m].shapes[0] for m in lists}, toy)
+        start = pack(pst, {m: lists[m].shapes[0] for m in lists})
         assert start.y_max == 80 > toy.height
         res = solve(build_model(pst, lists, toy))
         assert res.status == "optimal"

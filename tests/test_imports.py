@@ -1,6 +1,6 @@
 """Lint steps: every imported name in the package and the tests is read,
-and so is every attribute the package sets on self and every private
-function or method it defines.
+and so is every attribute the package sets on self, every private
+function or method it defines, and every parameter its functions take.
 
 An ast walk collects the names each module binds by import and the names
 it reads; a name inside a quoted annotation does not count as read.  Two
@@ -14,6 +14,9 @@ the tests together: `self.x = ...` counts as read if some `.x` is loaded
 anywhere, and a private function `_f` if `_f` is loaded as a name or as an
 attribute.  A local variable that shares an attribute's name does not
 count as a read of the attribute.
+
+A parameter counts as read if its function's body loads its name; self is
+exempt.
 """
 
 import ast
@@ -87,3 +90,24 @@ def test_every_self_attribute_and_private_function_is_read():
             if not read:
                 unread.append(f"{path.relative_to(ROOT)}:{line}: {kind} {name}")
     assert not unread, "defined but never read:\n" + "\n".join(unread)
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in FILES:
+        if path.parent.name != "pdrplan":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            for p in params:
+                if p is not None and p.arg != "self" and p.arg not in read:
+                    unread.append(f"{path.relative_to(ROOT)}:{fn.lineno}: "
+                                  f"{fn.name}({p.arg})")
+    assert not unread, "parameter never read:\n" + "\n".join(unread)

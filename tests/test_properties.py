@@ -109,8 +109,8 @@ def test_layered_pack_equals_module_level_pack(n, regions, layers, seed):
     pst = random_pst(rng, ids, max_regions=regions, max_layers=layers)
     shapes = {m: Shape(rng.randint(1, 60), 5 * rng.randint(1, 20))
               for m in ids}
-    got = pack(pst, shapes, CHIP)
-    want = module_level_pack(pst, shapes, CHIP)
+    got = pack(pst, shapes)
+    want = module_level_pack(pst, shapes)
     assert got == want
     assert list(got.coords) == list(want.coords)
     assert list(got.region_boxes) == list(want.region_boxes)
@@ -170,7 +170,7 @@ def random_move(name, seed):
     m = rng.choice(ids)
     without = pst.without(m)
     w = CostWeights().resolve(g, CHIP)
-    ev = RoughEvaluator(without, shapes, g, CHIP, w, m)
+    ev = RoughEvaluator(without, shapes, g, w, m)
     return g, lists, without, shapes, m, ev
 
 
@@ -210,7 +210,7 @@ def test_fresh_target_extents_equal_pack(name, seed):
             continue
         applied = apply_candidate(without, m, cand)
         for shape in lists[m].shapes:
-            p = pack(applied, {**shapes, m: shape}, CHIP)
+            p = pack(applied, {**shapes, m: shape})
             assert ev._approx_extents(cand, shape) == (p.x_max, p.y_max)
 
 

@@ -63,36 +63,36 @@ class TestValidate:
 
 
 class TestPack:
-    def test_single_module_at_origin(self, chip):
+    def test_single_module_at_origin(self):
         g = make_graph(1)
         pst = single_layer_pst(["m1"])
-        p = pack(pst, {"m1": Shape(8, 5)}, chip)
+        p = pack(pst, {"m1": Shape(8, 5)})
         assert p.coords["m1"] == Rect(1, 1, 8, 5)
         assert (p.x_max, p.y_max) == (8, 5)
 
-    def test_two_modules_same_layer_row(self, chip):
+    def test_two_modules_same_layer_row(self):
         pst = single_layer_pst(["m1", "m2"])
-        p = pack(pst, {"m1": Shape(5, 5), "m2": Shape(7, 5)}, chip)
+        p = pack(pst, {"m1": Shape(5, 5), "m2": Shape(7, 5)})
         assert p.coords["m2"].x == 6
         assert p.coords["m1"].y == p.coords["m2"].y == 1
 
-    def test_two_modules_stacked(self, chip):
+    def test_two_modules_stacked(self):
         # m1 after m2 in ps, before in qs -> m1 below m2
         pst = PST(ps=["m2", "m1"], qs=["m1", "m2"], rs=[(0, 0)],
                   partition={"m1": (0, 0), "m2": (0, 0)})
-        p = pack(pst, {"m1": Shape(5, 10), "m2": Shape(7, 5)}, chip)
+        p = pack(pst, {"m1": Shape(5, 10), "m2": Shape(7, 5)})
         assert p.coords["m1"] == Rect(1, 1, 5, 10)
         assert p.coords["m2"] == Rect(1, 11, 7, 5)
 
-    def test_same_region_other_layers_share_origin(self, chip):
+    def test_same_region_other_layers_share_origin(self):
         pst = PST(ps=["m1", "m2"], qs=["m1", "m2"], rs=[(0, 0), (0, 1)],
                   partition={"m1": (0, 0), "m2": (0, 1)})
-        p = pack(pst, {"m1": Shape(5, 10), "m2": Shape(7, 5)}, chip)
+        p = pack(pst, {"m1": Shape(5, 10), "m2": Shape(7, 5)})
         assert p.coords["m1"].x == p.coords["m2"].x == 1
         assert p.coords["m1"].y == p.coords["m2"].y == 1
         assert p.region_boxes[0] == Rect(1, 1, 7, 10)
 
-    def test_pairwise_constraints_hold(self, chip):
+    def test_pairwise_constraints_hold(self):
         rng = random.Random(42)
         for _ in range(60):
             n = rng.randint(2, 20)
@@ -100,7 +100,7 @@ class TestPack:
             pst = random_pst(rng, g.module_ids)
             shapes = {m: Shape(rng.randint(1, 12), 5 * rng.randint(1, 8))
                       for m in g.module_ids}
-            p = pack(pst, shapes, chip)
+            p = pack(pst, shapes)
             ppos = {m: i for i, m in enumerate(pst.ps)}
             qpos = {m: i for i, m in enumerate(pst.qs)}
             for a in g.module_ids:
@@ -115,7 +115,7 @@ class TestPack:
                     elif ppos[a] > ppos[b] and qpos[a] < qpos[b]:
                         assert p.coords[b].y >= p.coords[a].y + shapes[a].h
 
-    def test_no_overlap_within_layer_and_between_regions(self, chip):
+    def test_no_overlap_within_layer_and_between_regions(self):
         rng = random.Random(7)
         for _ in range(60):
             n = rng.randint(2, 20)
@@ -123,7 +123,7 @@ class TestPack:
             pst = random_pst(rng, g.module_ids)
             shapes = {m: Shape(rng.randint(1, 12), 5 * rng.randint(1, 8))
                       for m in g.module_ids}
-            p = pack(pst, shapes, chip)
+            p = pack(pst, shapes)
             ids = list(g.module_ids)
             for i, a in enumerate(ids):
                 for b in ids[i + 1:]:
@@ -140,7 +140,7 @@ class TestPack:
                 assert (box.x <= r.x and box.y <= r.y
                         and r.x_hi <= box.x_hi and r.y_hi <= box.y_hi)
 
-    def test_region_box_is_its_largest_layer(self, chip):
+    def test_region_box_is_its_largest_layer(self):
         """Each region box is exactly as wide and as tall as the bounding
         box of its largest layer, and every layer starts at its corner."""
         rng = random.Random(11)
@@ -150,7 +150,7 @@ class TestPack:
             pst = random_pst(rng, g.module_ids)
             shapes = {m: Shape(rng.randint(1, 12), 5 * rng.randint(1, 8))
                       for m in g.module_ids}
-            p = pack(pst, shapes, chip)
+            p = pack(pst, shapes)
             widths, heights = {}, {}
             for key, members in pst.layer_members.items():
                 rects = [p.coords[m] for m in members]
@@ -168,10 +168,10 @@ class TestPack:
 
     def test_is_feasible_boundary(self, chip):
         pst = single_layer_pst(["m1"])
-        p = pack(pst, {"m1": Shape(146, 350)}, chip)
+        p = pack(pst, {"m1": Shape(146, 350)})
         assert is_feasible(p, chip)
         p2 = pack(single_layer_pst(["m1", "m2"]),
-                  {"m1": Shape(146, 5), "m2": Shape(1, 5)}, chip)
+                  {"m1": Shape(146, 5), "m2": Shape(1, 5)})
         assert p2.x_max == 147
         assert not is_feasible(p2, chip)
 
@@ -247,11 +247,11 @@ class TestSchedule:
 
 
 class TestCommCost:
-    def test_identical_rects_zero(self, chip):
+    def test_identical_rects_zero(self):
         g = make_graph(2, edges=[("m1", "m2", 10.0)])
         pst = PST(ps=["m1", "m2"], qs=["m1", "m2"], rs=[(0, 0), (0, 1)],
                   partition={"m1": (0, 0), "m2": (0, 1)})
-        p = pack(pst, uniform_shapes(g.module_ids), chip)
+        p = pack(pst, uniform_shapes(g.module_ids))
         assert comm_cost(p, g) == 0.0
 
     def test_center_distance_arithmetic(self, chip):
@@ -262,14 +262,14 @@ class TestCommCost:
                       region_boxes={}, x_max=9, y_max=8)
         assert comm_cost(p, g) == pytest.approx(70.0)
 
-    def test_matches_recomputation(self, chip):
+    def test_matches_recomputation(self):
         rng = random.Random(5)
         g = make_graph(5, edges=[("m1", "m2", 2.5), ("m2", "m4", 1.0),
                                  ("m3", "m5", 4.0)])
         pst = random_pst(rng, g.module_ids)
         shapes = {m: Shape(rng.randint(1, 9), 5 * rng.randint(1, 5))
                   for m in g.module_ids}
-        p = pack(pst, shapes, chip)
+        p = pack(pst, shapes)
         expect = 0.0
         for e in g.edges:
             a, b = p.coords[e.src], p.coords[e.dst]
@@ -277,13 +277,13 @@ class TestCommCost:
                                   + abs((a.y + a.y_hi) - (b.y + b.y_hi)) / 2)
         assert comm_cost(p, g) == pytest.approx(expect)
 
-    def test_scales_linearly_with_weights(self, chip):
+    def test_scales_linearly_with_weights(self):
         rng = random.Random(6)
         g = make_graph(4, edges=[("m1", "m2", 3.0), ("m2", "m3", 5.0)])
         g2 = TaskGraph(g.modules, [Edge(e.src, e.dst, 2.5 * e.weight)
                                    for e in g.edges])
         pst = random_pst(rng, g.module_ids)
-        p = pack(pst, uniform_shapes(g.module_ids, 6, 10), chip)
+        p = pack(pst, uniform_shapes(g.module_ids, 6, 10))
         assert comm_cost(p, g2) == pytest.approx(2.5 * comm_cost(p, g))
 
 

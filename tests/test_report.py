@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -6,10 +7,14 @@ from helpers import make_graph, single_layer_pst
 from pdrplan.chip import builtin_xc7vx485t
 from pdrplan.explore import SAConfig
 from pdrplan.pst import CostWeights, PST, evaluate
-from pdrplan.report import (PipelineConfig, compute_rrt, run_pipeline,
-                            summarize)
-from pdrplan.shapes import Shape
-from pdrplan.taskgraph import generate, preset_spec
+from pdrplan.ilp import build_model
+from pdrplan.report import (PipelineConfig, compute_rrt, postoptimize,
+                            prepare_instance, run_pipeline, summarize)
+from pdrplan.shapes import Shape, ShapeGenConfig
+from pdrplan.solio import load_solution
+from pdrplan.taskgraph import generate, load_graph, preset_spec
+
+POSTOPT = Path(__file__).resolve().parents[1] / "planbench" / "postopt"
 
 
 @pytest.fixture(scope="module")
@@ -133,3 +138,39 @@ class TestPipeline:
         assert rep.success_after == 0.0
         assert rep.sch_best is None
         assert "no feasible floorplan" in rep.summary()
+
+
+def test_restart_chains_never_repeat_across_runs(chip, tmp_path):
+    """Run k anneals from seed k; none of its restart chains is one of
+    another run's, so every chain writes its own trace rows."""
+    g = generate(preset_spec("t10-1", seed=0))
+    sa = SAConfig(restarts=2, iterations_per_temperature=2,
+                  initial_temperature=1.0, min_temperature=0.3)
+    run_pipeline(g, chip, PipelineConfig(runs=2, seed=0, sa=sa,
+                                         out_dir=str(tmp_path)))
+    chains = []
+    for run in range(2):
+        rows = [row.split(",", 1) for row in
+                (tmp_path / f"seed{run}.trace.csv").read_text().splitlines()[1:]]
+        for restart in range(2):
+            chains.append(tuple(rest for k, rest in rows if k == str(restart)))
+    assert all(chains)
+    assert len(set(chains)) == 4
+
+
+def test_postoptimize_keeps_a_fitting_timeout_incumbent(chip):
+    """With no time to search, the seed incumbent still repairs the plan."""
+    name = "t10-2-s0"
+    g, lists = prepare_instance(load_graph(POSTOPT / f"{name}.graph"), chip,
+                                ShapeGenConfig(), 0.001)
+    w = CostWeights().resolve(g, chip)
+    sol = load_solution(POSTOPT / f"{name}.solution", g, chip, w)
+    assert not sol.feasible
+    fixed, res = postoptimize(sol, build_model(sol.pst, lists, chip), lists,
+                              g, chip, w, time_limit=0)
+    assert (res.status, res.objective) == ("timeout", 101.0)
+    assert fixed.feasible and fixed.pst == sol.pst
+    assert fixed.shapes == {m: lists[m].shapes[j]
+                            for m, j in res.selection.items()}
+    assert (chip.width - fixed.costs.x_max
+            + chip.height - fixed.costs.y_max) == 101

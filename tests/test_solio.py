@@ -66,6 +66,7 @@ def test_comments_ignored(chip):
     ("ps m1 m2 m3\n", 8, "second ps line"),
     ("qs m1 m2 m3\n", 8, "second qs line"),
     ("rs 0.0 1.0\n", 8, "second rs line"),
+    ("metrics makespan=1.0\n", 8, "second metrics line"),
 ])
 def test_rejects_repeated_lines(chip, extra, lineno, what):
     _, sol = sample_solution(chip)
@@ -73,3 +74,18 @@ def test_rejects_repeated_lines(chip, extra, lineno, what):
     assert len(text.splitlines()) == lineno - 1
     with pytest.raises(InputFileError, match=f"plan.txt:{lineno}: {what}"):
         parse_solution(text + extra, source="plan.txt")
+
+
+@pytest.mark.parametrize("lineno, extra, what", [
+    (4, " w=146", "duplicate attribute 'w'"),
+    (4, " bogus=7", "unknown attribute 'bogus'"),
+    (7, " total=1.0", "duplicate attribute 'total'"),
+    (7, " bogus=7", "unknown attribute 'bogus'"),
+])
+def test_rejects_repeated_and_unknown_keys(chip, lineno, extra, what):
+    _, sol = sample_solution(chip)
+    lines = write_solution(sol).splitlines()
+    assert lines[lineno - 1].split()[0] == ("place" if lineno == 4 else "metrics")
+    lines[lineno - 1] += extra
+    with pytest.raises(InputFileError, match=f"plan.txt:{lineno}: {what}"):
+        parse_solution("\n".join(lines) + "\n", source="plan.txt")
