@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Verbs: gen-bench, shapes, explore, postopt, run, render, metrics.
-Exit codes: 0 success, 1 infeasible final result, 2 bad input.
+Exit codes: 0 success, 1 infeasible final result, 2 bad input: a missing
+or malformed file, or a flag value its config rejects.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .chip import builtin_xc7vx485t, load_chip
@@ -21,7 +23,7 @@ from .pst import CostWeights
 from .render import render_svg
 from .report import (PipelineConfig, compute_rrt, postoptimize,
                      prepare_instance, run_pipeline)
-from .shapes import ShapeGenConfig
+from .shapes import ShapeGenConfig, generate_all
 from .solio import load_solution, write_solution
 from .taskgraph import (BenchSpec, generate, load_graph, preset_spec)
 
@@ -36,52 +38,50 @@ def resolve_chip(spec: str):
     return load_chip(spec)
 
 
-def _parse_range(text: str):
+def _parse_range(text: str, kind=float):
     try:
         lo, hi = text.split(",")
-        return (float(lo), float(hi))
-    except ValueError:
+        return (kind(float(lo)), kind(float(hi)))
+    except (ValueError, OverflowError):
         raise InputFileError(f"expected a LO,HI range, got {text!r}") from None
 
 
 def _int_range(text: str):
-    lo, hi = _parse_range(text)
-    return (int(lo), int(hi))
+    return _parse_range(text, int)
 
 
-def _add_common(p, out_dir=False):
-    p.add_argument("--chip", default=BUILTIN_PREFIX + "xc7vx485t",
-                   help="chip file or builtin:xc7vx485t")
-    p.add_argument("--seed", type=int, default=0)
-    if out_dir:
-        p.add_argument("--out-dir", default=None)
+# Flags that several verbs take.  A flag's dest is the name of the config
+# field it fills, so _config builds a config from whatever flags a verb
+# declares.
+FLAGS = {
+    "--chip": dict(default=BUILTIN_PREFIX + "xc7vx485t",
+                   help="chip file or builtin:xc7vx485t"),
+    "--seed": dict(type=int, default=0),
+    "--out-dir": dict(default=None),
+    "--graph": dict(required=True),
+    "--solution": dict(required=True),
+    "--n": dict(type=int, default=10, help="max candidate shapes per module"),
+    "--gamma-ar": dict(type=float, default=1.5,
+                       help="aspect-ratio bound for candidate shapes"),
+    "--cfg-rate": dict(type=float, default=0.001,
+                       help="configuration ms per tile when conf is not given"),
+    "--alpha": dict(type=float, default=1.0, help="area weight"),
+    "--beta": dict(type=float, default=1.0, help="schedule weight"),
+    "--gamma-comm": dict(type=float, default=1.0,
+                         help="communication weight"),
+    "--lambda": dict(dest="lambda_", type=float, default=1.0,
+                     help="heterogeneous-utilization weight"),
+}
+SHAPE_FLAGS = ("--n", "--gamma-ar")
+WEIGHT_FLAGS = ("--alpha", "--beta", "--gamma-comm", "--lambda")
 
 
-def _add_shape_opts(p):
-    p.add_argument("--n", type=int, default=10,
-                   help="max candidate shapes per module")
-    p.add_argument("--gamma-ar", type=float, default=1.5,
-                   help="aspect-ratio bound for candidate shapes")
-    p.add_argument("--cfg-rate", type=float, default=0.001,
-                   help="configuration ms per tile when conf is not given")
-
-
-def _add_weight_opts(p):
-    p.add_argument("--alpha", type=float, default=1.0, help="area weight")
-    p.add_argument("--beta", type=float, default=1.0, help="schedule weight")
-    p.add_argument("--gamma-comm", type=float, default=1.0,
-                   help="communication weight")
-    p.add_argument("--lambda", dest="lambda_", type=float, default=1.0,
-                   help="heterogeneous-utilization weight")
-
-
-def _shape_cfg(args) -> ShapeGenConfig:
-    return ShapeGenConfig(n=args.n, gamma_ar=args.gamma_ar)
-
-
-def _weights(args) -> CostWeights:
-    return CostWeights(alpha=args.alpha, beta=args.beta,
-                       gamma_comm=args.gamma_comm, lambda_=args.lambda_)
+def _config(cls, args, **given):
+    """cls from the flags named after its fields, plus the given fields;
+    a field the verb takes no flag for keeps its default."""
+    flags = vars(args)
+    return cls(**{f.name: flags[f.name] for f in fields(cls)
+                  if f.name in flags}, **given)
 
 
 def _load_instance(args):
@@ -91,124 +91,101 @@ def _load_instance(args):
     and solution are None unless the verb reads a --solution file.
     """
     chip = resolve_chip(args.chip)
+    cfg_rate = getattr(args, "cfg_rate", PipelineConfig.cfg_rate)  # render
     g, lists = prepare_instance(load_graph(args.graph), chip,
-                                _shape_cfg(args), args.cfg_rate)
+                                _config(ShapeGenConfig, args), cfg_rate)
     weights = sol = None
     if getattr(args, "solution", None) is not None:
-        weights = _weights(args).resolve(g, chip)
+        weights = _config(CostWeights, args).resolve(g, chip)
         sol = load_solution(args.solution, g, chip, weights)
     return chip, g, lists, weights, sol
 
 
+def _verb(sub, name, func, summary, *flags):
+    p = sub.add_parser(name, help=summary)
+    for flag in flags:
+        p.add_argument(flag, **FLAGS[flag])
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Each verb takes only the flags that can change its result."""
     parser = argparse.ArgumentParser(
         prog="pdrplan",
         description="Partition, schedule, and floorplan task modules on a "
                     "partially reconfigurable FPGA.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-bench", help="generate a random benchmark graph")
-    _add_common(p)
-    _add_shape_opts(p)
+    p = _verb(sub, "gen-bench", cmd_gen_bench,
+              "generate a random benchmark graph",
+              "--chip", "--seed", "--cfg-rate")
     p.add_argument("--preset", default=None,
                    help="benchmark family, e.g. t10-1 .. t200-3")
-    p.add_argument("--modules", type=int, default=10)
+    p.add_argument("--modules", dest="module_count", type=int, default=10,
+                   metavar="N")
     p.add_argument("--exec", dest="exec_range", type=_parse_range,
                    default=(40.0, 55.0), metavar="LO,HI")
-    p.add_argument("--weight", dest="weight_range", type=_parse_range,
+    p.add_argument("--weight", dest="edge_weight_range", type=_parse_range,
                    default=(20.0, 30.0), metavar="LO,HI")
-    p.add_argument("--clb", type=_int_range, default=(2000, 3000),
-                   metavar="LO,HI")
-    p.add_argument("--bram", type=_int_range, default=(0, 80), metavar="LO,HI")
-    p.add_argument("--dsp", type=_int_range, default=(0, 80), metavar="LO,HI")
-    p.add_argument("--density", type=float, default=0.8,
-                   help="edges per module")
+    p.add_argument("--clb", dest="clb_range", type=_int_range,
+                   default=(2000, 3000), metavar="LO,HI")
+    p.add_argument("--bram", dest="bram_range", type=_int_range,
+                   default=(0, 80), metavar="LO,HI")
+    p.add_argument("--dsp", dest="dsp_range", type=_int_range,
+                   default=(0, 80), metavar="LO,HI")
+    p.add_argument("--density", dest="edge_density", type=float, default=0.8,
+                   metavar="D", help="edges per module")
     p.add_argument("--out", default="-", help="output file ('-' for stdout)")
-    p.set_defaults(func=cmd_gen_bench)
 
-    p = sub.add_parser("shapes", help="print candidate shape lists")
-    _add_common(p)
-    _add_shape_opts(p)
-    p.add_argument("--graph", required=True)
-    p.set_defaults(func=cmd_shapes)
+    _verb(sub, "shapes", cmd_shapes, "print candidate shape lists",
+          "--chip", "--graph", *SHAPE_FLAGS)
 
-    p = sub.add_parser("explore", help="simulated-annealing exploration")
-    _add_common(p, out_dir=True)
-    _add_shape_opts(p)
-    _add_weight_opts(p)
-    p.add_argument("--graph", required=True)
+    p = _verb(sub, "explore", cmd_explore, "simulated-annealing exploration",
+              "--chip", "--seed", "--out-dir", "--graph", *SHAPE_FLAGS,
+              "--cfg-rate", *WEIGHT_FLAGS)
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--time-limit", type=float, default=None,
                    help="wall-clock budget in seconds")
-    p.set_defaults(func=cmd_explore)
 
-    p = sub.add_parser("postopt", help="repair a solution by shape reselection")
-    _add_common(p)
-    _add_shape_opts(p)
-    _add_weight_opts(p)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--solution", required=True)
+    p = _verb(sub, "postopt", cmd_postopt,
+              "repair a solution by shape reselection",
+              "--chip", "--graph", "--solution", *SHAPE_FLAGS, "--cfg-rate",
+              *WEIGHT_FLAGS)
     p.add_argument("--time-limit", type=float, default=60.0)
     p.add_argument("--export-lp", default=None,
                    help="also write the model in CPLEX LP format")
     p.add_argument("--out", default=None,
                    help="write the repaired solution here")
-    p.set_defaults(func=cmd_postopt)
 
-    p = sub.add_parser("run", help="full pipeline over several seeds")
-    _add_common(p, out_dir=True)
-    _add_shape_opts(p)
-    _add_weight_opts(p)
-    p.add_argument("--graph", required=True)
+    p = _verb(sub, "run", cmd_run, "full pipeline over several seeds",
+              "--chip", "--seed", "--out-dir", "--graph", *SHAPE_FLAGS,
+              "--cfg-rate", *WEIGHT_FLAGS)
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--time-limit", type=float, default=None,
                    help="exploration budget per run, seconds")
     p.add_argument("--postopt-time-limit", type=float, default=60.0)
     p.add_argument("--render", action="store_true")
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("render", help="draw a solution as SVG files")
-    _add_common(p, out_dir=True)
-    _add_shape_opts(p)
-    _add_weight_opts(p)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--solution", required=True)
-    p.set_defaults(func=cmd_render)
+    _verb(sub, "render", cmd_render, "draw a solution as SVG files",
+          "--chip", "--out-dir", "--graph", "--solution")
 
-    p = sub.add_parser("metrics", help="print metrics of a solution file")
-    _add_common(p)
-    _add_shape_opts(p)
-    _add_weight_opts(p)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--solution", required=True)
-    p.set_defaults(func=cmd_metrics)
+    _verb(sub, "metrics", cmd_metrics, "print metrics of a solution file",
+          "--chip", "--graph", "--solution", "--cfg-rate", *WEIGHT_FLAGS)
 
     return parser
 
 
-def _bench_spec(args) -> BenchSpec:
-    if args.preset:
-        return preset_spec(args.preset, seed=args.seed, cfg_rate=args.cfg_rate)
-    return BenchSpec(
-        module_count=args.modules,
-        exec_range=args.exec_range,
-        edge_weight_range=args.weight_range,
-        clb_range=args.clb,
-        bram_range=args.bram,
-        dsp_range=args.dsp,
-        edge_density=args.density,
-        seed=args.seed,
-        cfg_rate=args.cfg_rate,
-    )
-
-
 def cmd_gen_bench(args) -> int:
     chip = resolve_chip(args.chip)
-    spec = _bench_spec(args)
-    g = generate(spec)
+    spec = (preset_spec(args.preset, seed=args.seed) if args.preset
+            else _config(BenchSpec, args))
     # Resolve configuration times so the written benchmark stands alone.
-    g, _ = prepare_instance(g, chip, _shape_cfg(args), spec.cfg_rate)
+    # They come from each module's minimum-area shape, which every shape
+    # list keeps first whatever its n and gamma_ar.
+    g, _ = prepare_instance(generate(spec), chip, ShapeGenConfig(),
+                            args.cfg_rate)
     text = g.serialize()
     if args.out == "-":
         sys.stdout.write(text)
@@ -220,7 +197,9 @@ def cmd_gen_bench(args) -> int:
 
 
 def cmd_shapes(args) -> int:
-    _, g, lists, _, _ = _load_instance(args)
+    chip = resolve_chip(args.chip)
+    g = load_graph(args.graph)
+    lists = generate_all(g, chip, _config(ShapeGenConfig, args))
     for m in g.modules:
         shapes = " ".join(f"({s.w},{s.h})" for s in lists[m.id].shapes)
         print(f"module {m.id}: {shapes}")
@@ -228,8 +207,7 @@ def cmd_shapes(args) -> int:
 
 
 def _sa_config(args) -> SAConfig:
-    return SAConfig(seed=args.seed, weights=_weights(args),
-                    restarts=args.restarts, time_limit=args.time_limit)
+    return _config(SAConfig, args, weights=_config(CostWeights, args))
 
 
 def cmd_explore(args) -> int:
@@ -256,8 +234,8 @@ def cmd_postopt(args) -> int:
         Path(args.export_lp).write_text(export_lp(model), encoding="utf-8")
     sol, res = postoptimize(sol, model, lists, g, chip, weights,
                             args.time_limit)
-    if res.status == "optimal":
-        print(f"optimal objective={res.objective}")
+    if res.objective is not None:
+        print(f"{res.status} objective={res.objective}")
     else:
         print(res.status)
     print(f"nodes={res.nodes}")
@@ -269,16 +247,8 @@ def cmd_postopt(args) -> int:
 def cmd_run(args) -> int:
     chip = resolve_chip(args.chip)
     g = load_graph(args.graph)
-    cfg = PipelineConfig(
-        runs=args.runs,
-        seed=args.seed,
-        cfg_rate=args.cfg_rate,
-        shape_cfg=_shape_cfg(args),
-        sa=_sa_config(args),
-        postopt_time_limit=args.postopt_time_limit,
-        out_dir=args.out_dir,
-        render=args.render,
-    )
+    cfg = _config(PipelineConfig, args, shape_cfg=_config(ShapeGenConfig, args),
+                  sa=_sa_config(args))
     report = run_pipeline(g, chip, cfg)
     sys.stdout.write(report.summary())
     return 0 if report.success_after > 0 else 1
@@ -315,10 +285,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputFileError, InfeasibleModuleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValueError, OSError, InfeasibleModuleError) as exc:
+        # ValueError covers InputFileError and every config check.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -68,6 +68,8 @@ class SAConfig:
         if (self.iterations_per_temperature is not None
                 and self.iterations_per_temperature < 1):
             raise ValueError("iterations_per_temperature must be >= 1")
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ValueError("time_limit must be >= 0")
 
 
 @dataclass

@@ -327,7 +327,10 @@ def solve(model: ILPModel, time_limit: float | None = None) -> SolveResult:
     the survivors; on a full assignment it is exact.  Only what beats the
     incumbent's key is kept, so every incumbent fits the chip and ties go
     to the first assignment met.  Deterministic for a fixed model.
+    time_limit is in seconds; None or inf sets no limit.
     """
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError("time_limit must be >= 0")
     return _Search(model, time_limit).run()
 
 

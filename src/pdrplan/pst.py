@@ -24,6 +24,7 @@ in explore both call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -392,12 +393,12 @@ class CostWeights:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma_comm", "lambda_"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         for name in ("area_norm", "schedule_norm", "comm_norm"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be > 0")
+            if v is not None and not 0 < v < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
     def resolve(self, g: TaskGraph, chip: ChipModel) -> "CostWeights":
         """Fill instance-derived normalizers; idempotent.
@@ -472,7 +473,6 @@ class CostBreakdown:
     hetero: float
     makespan: float
     comm_raw: float
-    hetero_raw: float
     x_max: int
     y_max: int
     feasible: bool
@@ -499,7 +499,6 @@ def cost_from_parts(p: Placement, s: ScheduleResult, g: TaskGraph,
         hetero=cost_hetero,
         makespan=s.makespan,
         comm_raw=raw_comm,
-        hetero_raw=raw_hetero,
         x_max=p.x_max,
         y_max=p.y_max,
         feasible=is_feasible(p, chip),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -69,6 +70,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if (self.postopt_time_limit is not None
+                and not self.postopt_time_limit >= 0):
+            raise ValueError("postopt_time_limit must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -133,6 +137,8 @@ class RunReport:
 def prepare_instance(g: TaskGraph, chip: ChipModel, shape_cfg: ShapeGenConfig,
                      cfg_rate: float):
     """Shape lists plus the graph with configuration times resolved."""
+    if not 0 <= cfg_rate < math.inf:
+        raise ValueError("cfg_rate must be finite and >= 0")
     lists = generate_all(g, chip, shape_cfg)
     if g.has_unresolved_conf():
         g = assign_conf_times(g, min_area_map(lists), cfg_rate)

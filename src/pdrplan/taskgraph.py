@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -25,10 +26,12 @@ class TaskModule:
     conf_time: float | None = None
 
     def __post_init__(self):
-        if self.exec_time <= 0:
-            raise ValueError(f"module {self.id}: exec time must be positive")
-        if self.conf_time is not None and self.conf_time < 0:
-            raise ValueError(f"module {self.id}: conf time must be >= 0")
+        if not 0 < self.exec_time < math.inf:
+            raise ValueError(f"module {self.id}: exec time must be positive "
+                             "and finite")
+        if self.conf_time is not None and not 0 <= self.conf_time < math.inf:
+            raise ValueError(f"module {self.id}: conf time must be finite "
+                             "and >= 0")
 
 
 @dataclass(frozen=True)
@@ -42,8 +45,9 @@ class Edge:
     def __post_init__(self):
         if self.src == self.dst:
             raise ValueError(f"self edge on {self.src}")
-        if self.weight < 0:
-            raise ValueError(f"edge {self.src}->{self.dst}: negative weight")
+        if not 0 <= self.weight < math.inf:
+            raise ValueError(f"edge {self.src}->{self.dst}: weight must be "
+                             "finite and >= 0")
 
 
 class TaskGraph:
@@ -285,20 +289,17 @@ class BenchSpec:
     dsp_range: tuple
     edge_density: float
     seed: int = 0
-    cfg_rate: float = 0.001
 
     def __post_init__(self):
-        if self.module_count < 1:
+        if not self.module_count >= 1:
             raise ValueError("module_count must be >= 1")
-        if self.edge_density < 0:
-            raise ValueError("edge_density must be >= 0")
-        if self.cfg_rate < 0:
-            raise ValueError("cfg_rate must be >= 0")
+        if not 0 <= self.edge_density < math.inf:
+            raise ValueError("edge_density must be finite and >= 0")
         for name in ("exec_range", "edge_weight_range", "clb_range",
                      "bram_range", "dsp_range"):
             lo, hi = getattr(self, name)
-            if lo < 0 or hi < lo:
-                raise ValueError(f"{name} must satisfy 0 <= lo <= hi")
+            if not 0 <= lo <= hi < math.inf:
+                raise ValueError(f"{name} must satisfy 0 <= lo <= hi < inf")
         if self.exec_range[1] <= 0:
             raise ValueError("exec_range must allow positive execution times")
 
@@ -363,7 +364,7 @@ BENCH_PRESETS = {
 }
 
 
-def preset_spec(name: str, seed: int = 0, cfg_rate: float = 0.001) -> BenchSpec:
+def preset_spec(name: str, seed: int = 0) -> BenchSpec:
     """BenchSpec for a named preset family, e.g. 't10-1'."""
     if name not in BENCH_PRESETS:
         raise InputFileError(f"unknown benchmark preset {name!r}; "
@@ -378,5 +379,4 @@ def preset_spec(name: str, seed: int = 0, cfg_rate: float = 0.001) -> BenchSpec:
         dsp_range=dsp,
         edge_density=n_edges / n,
         seed=seed,
-        cfg_rate=cfg_rate,
     )

@@ -185,7 +185,7 @@ def t10_instance(seed):
     g = gen_graph(spec)
     lists = generate_all(g, CHIP)
     g = assign_conf_times(g, {m: sl.shapes[0].area for m, sl in lists.items()},
-                          spec.cfg_rate)
+                          0.001)
     return g, lists
 
 

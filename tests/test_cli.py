@@ -1,9 +1,10 @@
+import argparse
 from pathlib import Path
 
 import pytest
 
 from pdrplan.chip import builtin_xc7vx485t
-from pdrplan.cli import main
+from pdrplan.cli import build_parser, main
 from pdrplan.report import prepare_instance
 from pdrplan.shapes import ShapeGenConfig
 from pdrplan.taskgraph import load_graph
@@ -216,3 +217,163 @@ class TestSolutionShapes:
                                 "--solution", sol], capsys)
         assert code == 2
         assert f"{sol}:4: {what}" in err
+
+
+# Every verb's flags; each one can change the verb's result.
+VERB_FLAGS = {
+    "gen-bench": {"--chip", "--seed", "--cfg-rate", "--preset", "--modules",
+                  "--exec", "--weight", "--clb", "--bram", "--dsp",
+                  "--density", "--out"},
+    "shapes": {"--chip", "--graph", "--n", "--gamma-ar"},
+    "explore": {"--chip", "--seed", "--out-dir", "--graph", "--n",
+                "--gamma-ar", "--cfg-rate", "--alpha", "--beta",
+                "--gamma-comm", "--lambda", "--restarts", "--time-limit"},
+    "postopt": {"--chip", "--graph", "--solution", "--n", "--gamma-ar",
+                "--cfg-rate", "--alpha", "--beta", "--gamma-comm", "--lambda",
+                "--time-limit", "--export-lp", "--out"},
+    "run": {"--chip", "--seed", "--out-dir", "--graph", "--n", "--gamma-ar",
+            "--cfg-rate", "--alpha", "--beta", "--gamma-comm", "--lambda",
+            "--runs", "--restarts", "--time-limit", "--postopt-time-limit",
+            "--render"},
+    "render": {"--chip", "--out-dir", "--graph", "--solution"},
+    "metrics": {"--chip", "--graph", "--solution", "--cfg-rate", "--alpha",
+                "--beta", "--gamma-comm", "--lambda"},
+}
+
+
+def verb_actions():
+    """{verb: [argparse action of each of its flags]}."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {verb: [a for a in p._actions if a.dest != "help"]
+            for verb, p in sub.choices.items()}
+
+
+class TestFlagSets:
+    def test_each_verb_takes_only_flags_that_change_its_result(self):
+        got = {verb: {a.option_strings[0] for a in actions}
+               for verb, actions in verb_actions().items()}
+        assert got == VERB_FLAGS
+
+    def test_settable_values(self):
+        assert sum(map(len, verb_actions().values())) == 70
+
+
+# Values each numeric flag rejects, keyed by the flag's dest: 0, -1, nan
+# and inf wherever they are invalid.  A time limit of 0 is valid (stop at
+# the first check) and so is inf (no limit); inf is a valid aspect bound.
+INVALID = {
+    "seed": ("nan", "inf"),
+    "n": ("0", "-1", "nan", "inf"),
+    "gamma_ar": ("0", "-1", "nan"),
+    "cfg_rate": ("-1", "nan", "inf"),
+    "alpha": ("-1", "nan", "inf"),
+    "beta": ("-1", "nan", "inf"),
+    "gamma_comm": ("-1", "nan", "inf"),
+    "lambda_": ("-1", "nan", "inf"),
+    "module_count": ("0", "-1", "nan", "inf"),
+    "edge_density": ("-1", "nan", "inf"),
+    "restarts": ("0", "-1", "nan", "inf"),
+    "runs": ("0", "-1", "nan", "inf"),
+    "time_limit": ("-1", "nan"),
+    "postopt_time_limit": ("-1", "nan"),
+}
+
+
+def numeric_flags():
+    """(verb, flag, dest, type) of every flag that takes an int or a float."""
+    return [(verb, a.option_strings[0], a.dest, a.type)
+            for verb, actions in verb_actions().items() for a in actions
+            if a.type in (int, float)]
+
+
+BAD_VALUES = [(*flag, value) for flag in numeric_flags()
+              for value in INVALID.get(flag[2], ())]
+
+
+@pytest.fixture(scope="module")
+def plan_files(tmp_path_factory):
+    """A tiny graph and a plan of it: the greedy start, as explore writes
+    it with no time to anneal."""
+    d = tmp_path_factory.mktemp("plan")
+    graph = d / "graph.txt"
+    graph.write_text(GRAPH)
+    assert main(["explore", "--graph", str(graph), "--time-limit", "0",
+                 "--out-dir", str(d)]) == 0
+    return str(graph), str(d / "solution.txt")
+
+
+def exit_code(args):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+def assert_rejected(args, named, capsys):
+    code = exit_code(args)
+    err = capsys.readouterr().err
+    assert code == 2, (args, err)
+    assert "error:" in err and named in err, (args, err)
+    assert "Traceback" not in err
+
+
+class TestBadValues:
+    def test_table_covers_every_numeric_flag(self):
+        assert {dest for _, _, dest, _ in numeric_flags()} == set(INVALID)
+
+    @pytest.mark.parametrize("verb, flag, dest, kind, value", BAD_VALUES,
+                             ids=[f"{v}{f}={x}" for v, f, _, _, x in BAD_VALUES])
+    def test_bad_value_exits_2(self, verb, flag, dest, kind, value, plan_files,
+                               tmp_path, capsys):
+        graph, solution = plan_files
+        args = [verb, flag, value]
+        if verb != "gen-bench":
+            args += ["--graph", graph]
+        if verb in ("postopt", "metrics"):
+            args += ["--solution", solution]
+        if verb in ("explore", "run"):
+            args += ["--out-dir", str(tmp_path)]
+        # argparse names the flag of a value that is no int; a config check
+        # names the field the flag fills.
+        int_parse_error = kind is int and value in ("nan", "inf")
+        named = f"argument {flag}" if int_parse_error else f"{dest} must"
+        assert_rejected(args, named, capsys)
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--exec", "nan,nan", "exec_range must"),
+        ("--exec", "0,inf", "exec_range must"),
+        ("--weight", "5,1", "edge_weight_range must"),
+        ("--clb", "0,inf", "argument --clb"),
+        ("--bram", "-1,5", "bram_range must"),
+    ])
+    def test_bad_range_exits_2(self, flag, value, named, capsys):
+        assert_rejected(["gen-bench", f"{flag}={value}"], named, capsys)
+
+    def test_directory_for_a_file_exits_2(self, plan_files, tmp_path, capsys):
+        graph, _ = plan_files
+        for args in (["shapes", "--graph", str(tmp_path)],
+                     ["metrics", "--graph", graph, "--solution", str(tmp_path)]):
+            assert_rejected(args, "Is a directory", capsys)
+
+    @pytest.mark.parametrize("value", ["0", "inf"])
+    def test_zero_and_infinite_time_limits_run(self, value, plan_files,
+                                               tmp_path, capsys):
+        graph, _ = plan_files
+        code, _, err = run_cli(["run", "--graph", graph, "--runs", "1",
+                                "--time-limit", value, "--postopt-time-limit",
+                                value, "--out-dir", str(tmp_path)], capsys)
+        assert code == 0, err
+
+
+def test_postopt_timeout_prints_its_incumbents_objective(tmp_path, capsys):
+    """The timeout incumbent is the plan written, so its objective shows."""
+    out = tmp_path / "plan.txt"
+    code, stdout, _ = run_cli(
+        ["postopt", "--graph", str(POSTOPT / "t10-2-s0.graph"),
+         "--solution", str(POSTOPT / "t10-2-s0.solution"),
+         "--time-limit", "0", "--out", str(out)], capsys)
+    assert code == 0
+    assert stdout.splitlines() == ["timeout objective=101.0", "nodes=0"]
+    assert out.is_file()

@@ -485,3 +485,18 @@ class TestExportLP:
         assert res.status == "optimal"
         assert solve_lp_with_scipy(export_lp(model)) == pytest.approx(
             res.objective, abs=1e-6)
+
+
+@pytest.mark.parametrize("time_limit, status", [
+    (0, "timeout"), (float("inf"), "optimal"), (None, "optimal"),
+    (-1, None), (float("nan"), None),
+])
+def test_solve_time_limit(time_limit, status, chip):
+    """0 stops at the first deadline check and inf sets no limit; a
+    negative or NaN limit is rejected."""
+    model = postopt_model("t10-2-s0", chip)
+    if status is None:
+        with pytest.raises(ValueError, match="time_limit"):
+            solve(model, time_limit)
+    else:
+        assert solve(model, time_limit).status == status

@@ -17,6 +17,9 @@ count as a read of the attribute.
 
 A parameter counts as read if its function's body loads its name; self is
 exempt.
+
+A dataclass field counts as read if some `.field` is loaded in the package,
+the tests or planbench/, which reads the planner's results from outside.
 """
 
 import ast
@@ -111,3 +114,37 @@ def test_every_parameter_is_read():
                     unread.append(f"{path.relative_to(ROOT)}:{fn.lineno}: "
                                   f"{fn.name}({p.arg})")
     assert not unread, "parameter never read:\n" + "\n".join(unread)
+
+
+def _dataclass_fields(tree):
+    """(class, field, line) of every annotated field of a @dataclass."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in cls.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass"
+                   for d in decorators):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target,
+                                                              ast.Name):
+                yield cls.name, stmt.target.id, stmt.lineno
+
+
+def test_every_dataclass_field_is_read():
+    readers = [*FILES, *sorted((ROOT / "planbench").glob("*.py"))]
+    attrs_read = {node.attr for path in readers
+                  for node in ast.walk(ast.parse(path.read_text(
+                      encoding="utf-8"), str(path)))
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in FILES:
+        if path.parent.name != "pdrplan":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for cls, name, line in _dataclass_fields(tree):
+            if name not in attrs_read:
+                unread.append(f"{path.relative_to(ROOT)}:{line}: {cls}.{name}")
+    assert not unread, "dataclass field never read:\n" + "\n".join(unread)

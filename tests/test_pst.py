@@ -357,3 +357,11 @@ class TestTotalCost:
                            g, chip, w).costs
         assert inside.feasible and not outside.feasible
         assert outside.total > inside.total + BOUNDARY_PENALTY / chip.width / 2
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "gamma_comm", "lambda_",
+                                   "area_norm", "schedule_norm", "comm_norm"])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_cost_weights_reject_negative_nan_and_inf(field, value):
+    with pytest.raises(ValueError, match=field):
+        CostWeights(**{field: value})

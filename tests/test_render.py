@@ -58,7 +58,7 @@ def test_empty_solution_draws_outline_only(chip):
         shapes={},
         placement=Placement({}, {}, 0, 0),
         timeline=ScheduleResult({}, {}, {}, {}, 0.0),
-        costs=CostBreakdown(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, True),
+        costs=CostBreakdown(0, 0, 0, 0, 0, 0, 0, 0, 0, True),
         feasible=True,
     )
     drawings = render_svg(sol, chip)

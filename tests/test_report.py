@@ -174,3 +174,22 @@ def test_postoptimize_keeps_a_fitting_timeout_incumbent(chip):
                             for m, j in res.selection.items()}
     assert (chip.width - fixed.costs.x_max
             + chip.height - fixed.costs.y_max) == 101
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: SAConfig(time_limit=v),
+    lambda v: PipelineConfig(postopt_time_limit=v),
+], ids=["SAConfig", "PipelineConfig"])
+def test_time_limits_reject_negative_and_nan(make):
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="time_limit"):
+            make(bad)
+    for ok in (0, float("inf"), None):
+        make(ok)
+
+
+@pytest.mark.parametrize("cfg_rate", [-1.0, float("nan"), float("inf")])
+def test_prepare_instance_rejects_bad_cfg_rate(cfg_rate, chip):
+    g = load_graph(POSTOPT / "t10-2-s0.graph")
+    with pytest.raises(ValueError, match="cfg_rate"):
+        prepare_instance(g, chip, ShapeGenConfig(), cfg_rate)

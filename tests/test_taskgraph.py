@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from pdrplan.chip import ResourceVector
@@ -194,3 +196,28 @@ class TestConfAssignment:
             Edge("m1", "m1", 1.0)
         with pytest.raises(ValueError):
             TaskGraph([mk("m1"), mk("m1")], [])
+
+
+@pytest.mark.parametrize("text", [
+    "module m1 clb=1 bram=0 dsp=0 exec=inf",
+    "module m1 clb=1 bram=0 dsp=0 exec=nan",
+    "module m1 clb=1 bram=0 dsp=0 exec=5 conf=nan",
+    "module m1 clb=1 bram=0 dsp=0 exec=5 conf=inf",
+    "module m1 clb=1 bram=0 dsp=0 exec=5\nmodule m2 clb=1 bram=0 dsp=0 exec=5"
+    "\nedge m1 m2 weight=nan",
+    "module m1 clb=1 bram=0 dsp=0 exec=5\nmodule m2 clb=1 bram=0 dsp=0 exec=5"
+    "\nedge m1 m2 weight=inf",
+])
+def test_graph_file_rejects_nan_and_inf(text):
+    with pytest.raises(InputFileError, match="finite"):
+        parse_graph(text + "\n")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("edge_density", float("nan")), ("edge_density", float("inf")),
+    ("exec_range", (float("nan"), float("nan"))), ("exec_range", (1, float("inf"))),
+    ("edge_weight_range", (float("nan"), 5)), ("module_count", float("nan")),
+])
+def test_bench_spec_rejects_nan_and_inf(field, value):
+    with pytest.raises(ValueError, match=field):
+        replace(preset_spec("t10-1"), **{field: value})
