@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .chip import builtin_xc7vx485t, load_chip
@@ -25,7 +25,7 @@ from .report import (PipelineConfig, compute_rrt, postoptimize,
                      prepare_instance, run_pipeline)
 from .shapes import ShapeGenConfig, generate_all
 from .solio import load_solution, write_solution
-from .taskgraph import (BenchSpec, generate, load_graph, preset_spec)
+from .taskgraph import generate, load_graph, preset_spec
 
 BUILTIN_PREFIX = "builtin:"
 
@@ -76,12 +76,12 @@ SHAPE_FLAGS = ("--n", "--gamma-ar")
 WEIGHT_FLAGS = ("--alpha", "--beta", "--gamma-comm", "--lambda")
 
 
-def _config(cls, args, **given):
-    """cls from the flags named after its fields, plus the given fields;
-    a field the verb takes no flag for keeps its default."""
+def _config(base, args):
+    """base with each field that a flag of the same name sets; a field the
+    verb takes no flag for, or whose flag is left at None, keeps its value."""
     flags = vars(args)
-    return cls(**{f.name: flags[f.name] for f in fields(cls)
-                  if f.name in flags}, **given)
+    return replace(base, **{f.name: flags[f.name] for f in fields(base)
+                            if flags.get(f.name) is not None})
 
 
 def _load_instance(args):
@@ -93,10 +93,10 @@ def _load_instance(args):
     chip = resolve_chip(args.chip)
     cfg_rate = getattr(args, "cfg_rate", PipelineConfig.cfg_rate)  # render
     g, lists = prepare_instance(load_graph(args.graph), chip,
-                                _config(ShapeGenConfig, args), cfg_rate)
+                                _config(ShapeGenConfig(), args), cfg_rate)
     weights = sol = None
     if getattr(args, "solution", None) is not None:
-        weights = _config(CostWeights, args).resolve(g, chip)
+        weights = _config(CostWeights(), args).resolve(g, chip)
         sol = load_solution(args.solution, g, chip, weights)
     return chip, g, lists, weights, sol
 
@@ -120,22 +120,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = _verb(sub, "gen-bench", cmd_gen_bench,
               "generate a random benchmark graph",
               "--chip", "--seed", "--cfg-rate")
-    p.add_argument("--preset", default=None,
-                   help="benchmark family, e.g. t10-1 .. t200-3")
-    p.add_argument("--modules", dest="module_count", type=int, default=10,
-                   metavar="N")
+    p.add_argument("--preset", default="t10-1",
+                   help="benchmark family, t10-1 .. t200-3; --modules, "
+                        "--density and the range flags override its values")
+    p.add_argument("--modules", dest="module_count", type=int, metavar="N")
     p.add_argument("--exec", dest="exec_range", type=_parse_range,
-                   default=(40.0, 55.0), metavar="LO,HI")
+                   metavar="LO,HI")
     p.add_argument("--weight", dest="edge_weight_range", type=_parse_range,
-                   default=(20.0, 30.0), metavar="LO,HI")
-    p.add_argument("--clb", dest="clb_range", type=_int_range,
-                   default=(2000, 3000), metavar="LO,HI")
+                   metavar="LO,HI")
+    p.add_argument("--clb", dest="clb_range", type=_int_range, metavar="LO,HI")
     p.add_argument("--bram", dest="bram_range", type=_int_range,
-                   default=(0, 80), metavar="LO,HI")
-    p.add_argument("--dsp", dest="dsp_range", type=_int_range,
-                   default=(0, 80), metavar="LO,HI")
-    p.add_argument("--density", dest="edge_density", type=float, default=0.8,
-                   metavar="D", help="edges per module")
+                   metavar="LO,HI")
+    p.add_argument("--dsp", dest="dsp_range", type=_int_range, metavar="LO,HI")
+    p.add_argument("--density", dest="edge_density", type=float, metavar="D",
+                   help="edges per module")
     p.add_argument("--out", default="-", help="output file ('-' for stdout)")
 
     _verb(sub, "shapes", cmd_shapes, "print candidate shape lists",
@@ -144,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = _verb(sub, "explore", cmd_explore, "simulated-annealing exploration",
               "--chip", "--seed", "--out-dir", "--graph", *SHAPE_FLAGS,
               "--cfg-rate", *WEIGHT_FLAGS)
-    p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--time-limit", type=float, default=None,
                    help="wall-clock budget in seconds")
 
@@ -161,12 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = _verb(sub, "run", cmd_run, "full pipeline over several seeds",
               "--chip", "--seed", "--out-dir", "--graph", *SHAPE_FLAGS,
               "--cfg-rate", *WEIGHT_FLAGS)
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--restarts", type=int, default=1)
+    p.add_argument("--runs", type=int, default=10,
+                   help="annealing runs; run k uses seed SEED+k")
     p.add_argument("--time-limit", type=float, default=None,
                    help="exploration budget per run, seconds")
     p.add_argument("--postopt-time-limit", type=float, default=60.0)
-    p.add_argument("--render", action="store_true")
 
     _verb(sub, "render", cmd_render, "draw a solution as SVG files",
           "--chip", "--out-dir", "--graph", "--solution")
@@ -179,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_gen_bench(args) -> int:
     chip = resolve_chip(args.chip)
-    spec = (preset_spec(args.preset, seed=args.seed) if args.preset
-            else _config(BenchSpec, args))
+    spec = _config(preset_spec(args.preset), args)
     # Resolve configuration times so the written benchmark stands alone.
     # They come from each module's minimum-area shape, which every shape
     # list keeps first whatever its n and gamma_ar.
@@ -199,7 +194,7 @@ def cmd_gen_bench(args) -> int:
 def cmd_shapes(args) -> int:
     chip = resolve_chip(args.chip)
     g = load_graph(args.graph)
-    lists = generate_all(g, chip, _config(ShapeGenConfig, args))
+    lists = generate_all(g, chip, _config(ShapeGenConfig(), args))
     for m in g.modules:
         shapes = " ".join(f"({s.w},{s.h})" for s in lists[m.id].shapes)
         print(f"module {m.id}: {shapes}")
@@ -207,7 +202,7 @@ def cmd_shapes(args) -> int:
 
 
 def _sa_config(args) -> SAConfig:
-    return _config(SAConfig, args, weights=_config(CostWeights, args))
+    return _config(SAConfig(weights=_config(CostWeights(), args)), args)
 
 
 def cmd_explore(args) -> int:
@@ -230,10 +225,10 @@ def cmd_explore(args) -> int:
 def cmd_postopt(args) -> int:
     chip, g, lists, weights, sol = _load_instance(args)
     model = build_model(sol.pst, lists, chip)
-    if args.export_lp:
-        Path(args.export_lp).write_text(export_lp(model), encoding="utf-8")
     sol, res = postoptimize(sol, model, lists, g, chip, weights,
                             args.time_limit)
+    if args.export_lp:
+        Path(args.export_lp).write_text(export_lp(model), encoding="utf-8")
     if res.objective is not None:
         print(f"{res.status} objective={res.objective}")
     else:
@@ -247,8 +242,8 @@ def cmd_postopt(args) -> int:
 def cmd_run(args) -> int:
     chip = resolve_chip(args.chip)
     g = load_graph(args.graph)
-    cfg = _config(PipelineConfig, args, shape_cfg=_config(ShapeGenConfig, args),
-                  sa=_sa_config(args))
+    cfg = _config(PipelineConfig(shape_cfg=_config(ShapeGenConfig(), args),
+                                 sa=_sa_config(args)), args)
     report = run_pipeline(g, chip, cfg)
     sys.stdout.write(report.summary())
     return 0 if report.success_after > 0 else 1

@@ -47,15 +47,14 @@ class SAConfig:
     min_temperature as 1e-3 x initial.  time_limit bounds the probe moves
     as well as the annealing proper.  Each move samples at most
     MAX_CANDIDATES insertion points and re-costs the ROUGH_KEEP_K with the
-    best rough scores exactly.  Restart k seeds its chain with
-    seed * restarts + k, so configs whose seeds differ share no chain.
+    best rough scores exactly.  anneal runs one chain, seeded with seed;
+    PipelineConfig.runs repeats it with seeds seed, seed + 1, ...
     """
 
     initial_temperature: float | None = None
     cooling_rate: float = 0.9
     iterations_per_temperature: int | None = None
     min_temperature: float | None = None
-    restarts: int = 1
     seed: int = 0
     weights: CostWeights = field(default_factory=CostWeights)
     time_limit: float | None = None
@@ -63,8 +62,6 @@ class SAConfig:
     def __post_init__(self):
         if not 0.0 < self.cooling_rate < 1.0:
             raise ValueError("cooling_rate must be in (0, 1)")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
         if (self.iterations_per_temperature is not None
                 and self.iterations_per_temperature < 1):
             raise ValueError("iterations_per_temperature must be >= 1")
@@ -88,7 +85,6 @@ class Candidate:
 
 @dataclass(frozen=True)
 class TraceRow:
-    restart: int
     iteration: int
     temperature: float
     current_cost: float
@@ -97,8 +93,8 @@ class TraceRow:
 
 def trace_csv(trace) -> str:
     """Trace rows as CSV text with a header line; byte-stable."""
-    rows = ["restart,iteration,temperature,current_cost,best_cost"]
-    rows += [f"{t.restart},{t.iteration},{t.temperature!r},{t.current_cost!r},"
+    rows = ["iteration,temperature,current_cost,best_cost"]
+    rows += [f"{t.iteration},{t.temperature!r},{t.current_cost!r},"
              f"{t.best_cost!r}" for t in trace]
     return "\n".join(rows) + "\n"
 
@@ -416,13 +412,13 @@ def accept_move(delta: float, temperature: float, rng: random.Random) -> bool:
 class _Chain:
     """One annealing run with its own RNG and state."""
 
-    def __init__(self, g, shape_lists, chip, cfg, weights, seed, deadline):
+    def __init__(self, g, shape_lists, chip, cfg, weights, deadline):
         self.g = g
         self.lists = shape_lists
         self.chip = chip
         self.cfg = cfg
         self.w = weights
-        self.rng = random.Random(seed)
+        self.rng = random.Random(cfg.seed)
         self.deadline = deadline
         self.ids = list(g.module_ids)
         self.pst = initial_solution(g, shape_lists, chip)
@@ -473,7 +469,9 @@ class _Chain:
         deltas.sort()
         return deltas[len(deltas) // 2] / _PROBE_ACCEPT
 
-    def run(self, restart_idx, trace):
+    def run(self):
+        """Anneal to the minimum temperature or the deadline; the trace rows."""
+        trace = []
         t = self.initial_temperature()
         t_min = (self.cfg.min_temperature if self.cfg.min_temperature is not None
                  else 1e-3 * t)
@@ -484,7 +482,7 @@ class _Chain:
         while t > t_min:
             for _ in range(iters):
                 if self._past_deadline():
-                    return
+                    return trace
                 m, without, top = self._random_move()
                 new_pst, new_shapes, cost, _ = accurate_evaluate(
                     without, m, top, self.shapes, self.g, self.chip, self.w)
@@ -492,19 +490,22 @@ class _Chain:
                 if accept_move(cost.total - self.cost.total, t, self.rng):
                     self.pst, self.shapes, self.cost = new_pst, new_shapes, cost
                 iteration += 1
-                trace.append(TraceRow(restart_idx, iteration, t,
-                                      self.cost.total, self.best[2].total))
+                trace.append(TraceRow(iteration, t, self.cost.total,
+                                      self.best[2].total))
             t *= self.cfg.cooling_rate
+        return trace
 
 
 def anneal(g: TaskGraph, shape_lists: dict, chip: ChipModel,
            cfg: SAConfig = SAConfig()):
-    """Run the annealing chains and return (Solution, trace rows).
+    """Run one annealing chain and return (Solution, trace rows).
 
     Deterministic for fixed inputs and seed.  The returned solution is the
-    best boundary-feasible one found; if no chain ever saw a feasible
+    best boundary-feasible one found; if the chain never saw a feasible
     floorplan, the lowest-cost (least violating) solution is returned with
-    feasible=False, ready for post-optimization.
+    feasible=False, ready for post-optimization.  The chain starts from
+    initial_solution, which always fits the chip, so today the result is
+    always feasible (CHANGES.md FOUND on run_pipeline, ROADMAP item 3c).
     """
     if g.has_unresolved_conf():
         raise ValueError("anneal needs resolved configuration times; "
@@ -512,19 +513,7 @@ def anneal(g: TaskGraph, shape_lists: dict, chip: ChipModel,
     weights = cfg.weights.resolve(g, chip)
     deadline = (time.monotonic() + cfg.time_limit
                 if cfg.time_limit is not None else None)
-    trace: list = []
-    best = None
-    best_feasible = None
-    for k in range(cfg.restarts):
-        chain = _Chain(g, shape_lists, chip, cfg, weights,
-                       cfg.seed * cfg.restarts + k, deadline)
-        chain.run(k, trace)
-        if best is None or chain.best[2].total < best[2].total:
-            best = chain.best
-        if chain.best_feasible is not None and (
-                best_feasible is None
-                or chain.best_feasible[2].total < best_feasible[2].total):
-            best_feasible = chain.best_feasible
-    pick = best_feasible if best_feasible is not None else best
-    pst, shapes, _ = pick
+    chain = _Chain(g, shape_lists, chip, cfg, weights, deadline)
+    trace = chain.run()
+    pst, shapes, _ = chain.best_feasible or chain.best
     return evaluate(pst, shapes, g, chip, weights), trace

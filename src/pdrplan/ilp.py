@@ -337,19 +337,13 @@ def solve(model: ILPModel, time_limit: float | None = None) -> SolveResult:
 # ----------------------------------------------------------------------
 # LP export
 
-def _fmt(v) -> str:
-    if isinstance(v, float) and v.is_integer():
-        v = int(v)
-    return str(v)
-
-
 def _expr(coeffs) -> str:
     parts = []
     for var, c in coeffs:
         if c < 0:
-            parts.append(f"- {_fmt(-c) + ' ' if c != -1 else ''}{var}")
+            parts.append(f"- {str(-c) + ' ' if c != -1 else ''}{var}")
         else:
-            parts.append(f"+ {_fmt(c) + ' ' if c != 1 else ''}{var}")
+            parts.append(f"+ {str(c) + ' ' if c != 1 else ''}{var}")
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else text
 
@@ -363,11 +357,11 @@ def export_lp(model: ILPModel) -> str:
     """
     index = {m: i + 1 for i, m in enumerate(model.modules)}
     lines = ["\\ shape reselection model", "Maximize",
-             f" obj: - Xmax - Ymax + {_fmt(model.width + model.height)}",
+             f" obj: - Xmax - Ymax + {model.width + model.height}",
              "Subject To"]
 
     def row(name, coeffs, sense, rhs):
-        lines.append(f" {name}: {_expr(coeffs)} {sense} {_fmt(rhs)}")
+        lines.append(f" {name}: {_expr(coeffs)} {sense} {rhs}")
 
     binaries = []
     for m in model.modules:

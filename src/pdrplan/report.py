@@ -65,7 +65,6 @@ class PipelineConfig:
     sa: SAConfig = field(default_factory=SAConfig)
     postopt_time_limit: float | None = 60.0
     out_dir: str | None = None
-    render: bool = False
 
     def __post_init__(self):
         if self.runs < 1:
@@ -205,11 +204,6 @@ def run_pipeline(g: TaskGraph, chip: ChipModel,
                 write_solution(sol), encoding="utf-8")
             (out_dir / f"seed{seed}.trace.csv").write_text(
                 trace_csv(trace), encoding="utf-8")
-            if cfg.render:
-                from .render import render_svg
-                for name, svg in render_svg(sol, chip):
-                    (out_dir / f"seed{seed}.{name}").write_text(
-                        svg, encoding="utf-8")
     report = summarize(records)
     if out_dir is not None:
         (out_dir / "runs.csv").write_text(report.to_csv(), encoding="utf-8")

@@ -61,6 +61,24 @@ class TestGenBench:
                                    "--density", "0.5", "--seed", "9"], capsys)
         assert text_a == text_b
 
+    def test_no_preset_is_t10_1(self, capsys):
+        _, plain, _ = run_cli(["gen-bench", "--seed", "3"], capsys)
+        _, preset, _ = run_cli(["gen-bench", "--preset", "t10-1", "--seed",
+                                "3"], capsys)
+        assert plain == preset
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--modules", "3"), ("--exec", "5,9"), ("--weight", "1,2"),
+        ("--clb", "10,20"), ("--bram", "0,0"), ("--dsp", "0,0"),
+        ("--density", "0"), ("--seed", "1"),
+    ])
+    def test_flag_overrides_preset(self, flag, value, capsys):
+        _, preset, _ = run_cli(["gen-bench", "--preset", "t10-1"], capsys)
+        code, changed, _ = run_cli(["gen-bench", "--preset", "t10-1", flag,
+                                    value], capsys)
+        assert code == 0
+        assert changed != preset
+
     def test_unknown_preset_is_input_error(self, capsys):
         code, _, err = run_cli(["gen-bench", "--preset", "t7-9"], capsys)
         assert code == 2
@@ -100,7 +118,7 @@ class TestExploreAndFriends:
         assert (out_dir / "solution.txt").exists()
         assert (out_dir / "trace.csv").exists()
         trace = (out_dir / "trace.csv").read_text().splitlines()
-        assert trace[0] == "restart,iteration,temperature,current_cost,best_cost"
+        assert trace[0] == "iteration,temperature,current_cost,best_cost"
         assert len(trace) > 10
 
         sol_file = str(out_dir / "solution.txt")
@@ -227,14 +245,13 @@ VERB_FLAGS = {
     "shapes": {"--chip", "--graph", "--n", "--gamma-ar"},
     "explore": {"--chip", "--seed", "--out-dir", "--graph", "--n",
                 "--gamma-ar", "--cfg-rate", "--alpha", "--beta",
-                "--gamma-comm", "--lambda", "--restarts", "--time-limit"},
+                "--gamma-comm", "--lambda", "--time-limit"},
     "postopt": {"--chip", "--graph", "--solution", "--n", "--gamma-ar",
                 "--cfg-rate", "--alpha", "--beta", "--gamma-comm", "--lambda",
                 "--time-limit", "--export-lp", "--out"},
     "run": {"--chip", "--seed", "--out-dir", "--graph", "--n", "--gamma-ar",
             "--cfg-rate", "--alpha", "--beta", "--gamma-comm", "--lambda",
-            "--runs", "--restarts", "--time-limit", "--postopt-time-limit",
-            "--render"},
+            "--runs", "--time-limit", "--postopt-time-limit"},
     "render": {"--chip", "--out-dir", "--graph", "--solution"},
     "metrics": {"--chip", "--graph", "--solution", "--cfg-rate", "--alpha",
                 "--beta", "--gamma-comm", "--lambda"},
@@ -256,7 +273,7 @@ class TestFlagSets:
         assert got == VERB_FLAGS
 
     def test_settable_values(self):
-        assert sum(map(len, verb_actions().values())) == 70
+        assert sum(map(len, verb_actions().values())) == 67
 
 
 # Values each numeric flag rejects, keyed by the flag's dest: 0, -1, nan
@@ -273,7 +290,6 @@ INVALID = {
     "lambda_": ("-1", "nan", "inf"),
     "module_count": ("0", "-1", "nan", "inf"),
     "edge_density": ("-1", "nan", "inf"),
-    "restarts": ("0", "-1", "nan", "inf"),
     "runs": ("0", "-1", "nan", "inf"),
     "time_limit": ("-1", "nan"),
     "postopt_time_limit": ("-1", "nan"),
@@ -365,6 +381,15 @@ class TestBadValues:
                                 "--time-limit", value, "--postopt-time-limit",
                                 value, "--out-dir", str(tmp_path)], capsys)
         assert code == 0, err
+
+
+def test_rejected_time_limit_writes_no_lp(tmp_path, capsys):
+    lp = tmp_path / "model.lp"
+    assert_rejected(["postopt", "--graph", str(POSTOPT / "t10-2-s0.graph"),
+                     "--solution", str(POSTOPT / "t10-2-s0.solution"),
+                     "--time-limit", "nan", "--export-lp", str(lp)],
+                    "time_limit must", capsys)
+    assert not lp.exists()
 
 
 def test_postopt_timeout_prints_its_incumbents_objective(tmp_path, capsys):

@@ -1,17 +1,18 @@
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from helpers import make_graph, single_layer_pst
 from pdrplan.chip import builtin_xc7vx485t
-from pdrplan.explore import SAConfig
+from pdrplan.explore import SAConfig, anneal, trace_csv
 from pdrplan.pst import CostWeights, PST, evaluate
 from pdrplan.ilp import build_model
 from pdrplan.report import (PipelineConfig, compute_rrt, postoptimize,
                             prepare_instance, run_pipeline, summarize)
 from pdrplan.shapes import Shape, ShapeGenConfig
-from pdrplan.solio import load_solution
+from pdrplan.solio import load_solution, write_solution
 from pdrplan.taskgraph import generate, load_graph, preset_spec
 
 POSTOPT = Path(__file__).resolve().parents[1] / "planbench" / "postopt"
@@ -76,18 +77,16 @@ class TestRRT:
                                  sol.timeline.config_end,
                                  sol.timeline.exec_start,
                                  sol.timeline.exec_end, 0.0)
-        from dataclasses import replace
         with pytest.raises(ValueError):
             compute_rrt(replace(sol, timeline=bad), chip)
 
 
-def tiny_pipeline_cfg(runs=3, seed=5, out_dir=None, render=False):
+def tiny_pipeline_cfg(runs=3, seed=5, out_dir=None):
     return PipelineConfig(
         runs=runs,
         seed=seed,
         sa=SAConfig(cooling_rate=0.5, iterations_per_temperature=6),
         out_dir=out_dir,
-        render=render,
     )
 
 
@@ -140,22 +139,18 @@ class TestPipeline:
         assert "no feasible floorplan" in rep.summary()
 
 
-def test_restart_chains_never_repeat_across_runs(chip, tmp_path):
-    """Run k anneals from seed k; none of its restart chains is one of
-    another run's, so every chain writes its own trace rows."""
+def test_run_k_is_the_chain_of_seed_plus_k(chip, tmp_path):
+    """Run k of a pipeline of seed s writes the solution and trace that
+    anneal writes with seed s + k."""
     g = generate(preset_spec("t10-1", seed=0))
-    sa = SAConfig(restarts=2, iterations_per_temperature=2,
+    sa = SAConfig(seed=1, iterations_per_temperature=2,
                   initial_temperature=1.0, min_temperature=0.3)
     run_pipeline(g, chip, PipelineConfig(runs=2, seed=0, sa=sa,
                                          out_dir=str(tmp_path)))
-    chains = []
-    for run in range(2):
-        rows = [row.split(",", 1) for row in
-                (tmp_path / f"seed{run}.trace.csv").read_text().splitlines()[1:]]
-        for restart in range(2):
-            chains.append(tuple(rest for k, rest in rows if k == str(restart)))
-    assert all(chains)
-    assert len(set(chains)) == 4
+    g, lists = prepare_instance(g, chip, ShapeGenConfig(), 0.001)
+    sol, trace = anneal(g, lists, chip, sa)
+    assert (tmp_path / "seed1.solution").read_text() == write_solution(sol)
+    assert (tmp_path / "seed1.trace.csv").read_text() == trace_csv(trace)
 
 
 def test_postoptimize_keeps_a_fitting_timeout_incumbent(chip):

@@ -25,16 +25,16 @@ DIGESTS = {
     "t10-2": {
         "runs.csv": "1883454ad0cf2bc98aa80c96075e88817657303dfee7ff8ccfdb7996d52a66d0",
         "seed0.solution": "0a9bb12599ff29a08b322e32cf1eaf8816b2d86deafc9f372f639d42f8fc50b0",
-        "seed0.trace.csv": "d4ef2dc31ecc2a4220618f2713cc7b2d1506014fe6075365ecbb8eb647dba808",
+        "seed0.trace.csv": "fb0170d7a0a5cb26e1f1b830ba33579b16d82cb8ccafad27507284beffb9ec39",
         "seed1.solution": "7e10c0536d525e66443c78de98ce77e0a0f9bf76dd8ccf1499c7317636358162",
-        "seed1.trace.csv": "261796151125f4ac379b775825f9b73aff83c71dbf3d52988eb0497cacd782a3",
+        "seed1.trace.csv": "3ad3eea0f442a4b69abe178550b397117948c1dde8792cdfd4625b3a92870d9d",
     },
     "t30-1": {
         "runs.csv": "d9339ba800d89d6465a1d20d1b8c1902aed8283dd22756a34ab0f398db6081ad",
         "seed0.solution": "c12516e6501979bc5ffaeaef52785929e8bdad17e59376d868f172d2e33158ff",
-        "seed0.trace.csv": "a19e20394c5534f9502f69b3867cddb479625192db857ea63e3d876f63378cc4",
+        "seed0.trace.csv": "b2bee5905d8dab5738ae6070e32d8d80caedddf306c98a6b681f85fb1d0cf96d",
         "seed1.solution": "0b4f9dbcfa2cc022a478ec820228b5a7807b54e60c358ad76fdb5f702019c977",
-        "seed1.trace.csv": "2d645290be92a06dd9860c93088562e79d9300c057087d4605286cf285dc15a8",
+        "seed1.trace.csv": "d9261e570b7fdfb8a87c92ebc1fac622c98ce09f1bd33ba964f858f7009b3997",
     },
 }
 
