@@ -2,9 +2,11 @@
 
 Each move deletes one module and reinserts it somewhere else: into an
 existing layer, into a fresh layer of an existing region, or into a fresh
-region.  Insertion points are first ranked by a cheap rough score (area
-and schedule estimates; the moved module's shape is reselected from its
-candidate list at the same time), then the best few are re-costed exactly
+region.  The move packs the PST without the module once; that packing is
+the base of both stages.  Insertion points are first ranked by a cheap
+rough score (area and schedule estimates; the moved module's shape is
+reselected from its candidate list at the same time), then the best few
+are costed exactly from the base and one schedule of it (delta.MoveBase),
 and the winner goes through the usual Metropolis acceptance test.  Rough
 estimates are computed once per class of insertion points that share
 them (the same target layer or region side, the same configuration slot)
@@ -21,8 +23,7 @@ from dataclasses import dataclass, field
 
 from .chip import ChipModel
 from .errors import InfeasibleModuleError
-# schedule is unused here but stays importable as explore.schedule, one of
-# the names planbench/tracing.py wraps.
+from .delta import MoveBase
 from .pst import CostWeights, PST, evaluate, pack, region_offsets, schedule
 from .shapes import Shape, ShapeList
 from .taskgraph import TaskGraph
@@ -218,6 +219,9 @@ class RoughEvaluator:
     a grown layer covers the layer it grew from, so the resized region is
     max(region size, grown layer size); no other layer's size is needed.
 
+    The placement, pack of the PST without the moved module, is the
+    move's base: accurate_evaluate costs the survivors exactly from it.
+
     Each estimate depends on a few fields of a candidate only, so it is
     computed once per class of candidates and shared by the class.  The
     shape choice and area term depend on the target alone: a layer of an
@@ -251,7 +255,10 @@ class RoughEvaluator:
         self.conf_sum: dict = {}
         self.exec_max: dict = {}
         for key, members in pst.layer_members.items():
-            self.conf_sum[key] = sum(g.module(x).conf_time or 0.0 for x in members)
+            conf = 0.0  # left to right, as schedule sums
+            for x in members:
+                conf += g.module(x).conf_time or 0.0
+            self.conf_sum[key] = conf
             self.exec_max[key] = max(g.module(x).exec_time for x in members)
         mod = g.module(moved)
         self.moved_conf = mod.conf_time or 0.0
@@ -300,37 +307,46 @@ class RoughEvaluator:
         port, region_end, makespan = self._prefix[t]
         return _recurrence(port, dict(region_end), makespan, [step, *rest])[2]
 
-    def _approx_extents(self, cand: Candidate, shape: Shape):
+    def _extents_of(self, cand: Candidate, shapes) -> list:
+        """Estimated design extents (x, y) of the candidate with each shape.
+
+        A fresh region extends the design's row (left and right corners)
+        or its column.  A layer grows side by side or stacked, whichever
+        is smaller (side by side on a tie), and resizes its region.  The
+        target's sizes and region coefficients are read once.
+        """
+        xb, yb = self.x_base, self.y_base
         if cand.new_region:
             if cand.ps_pos == cand.qs_pos or not self.pst.ps:
-                # left/right corner: the fresh region extends the row
-                x = self.x_base + shape.w
-                y = max(self.y_base, shape.h)
-            else:
-                x = max(self.x_base, shape.w)
-                y = self.y_base + shape.h
-            return x, y
+                return [(xb + s.w, yb if yb > s.h else s.h) for s in shapes]
+            return [(xb if xb > s.w else s.w, yb + s.h) for s in shapes]
         region = cand.layer[0]
         lw = self.layer_w.get(cand.layer, 0)
         lh = self.layer_h.get(cand.layer, 0)
-        side = (lw + shape.w, max(lh, shape.h))
-        stack = (max(lw, shape.w), lh + shape.h)
-        ew, eh = min(side, stack, key=lambda t: t[0] * t[1])
+        rw, rh = self.region_w[region], self.region_h[region]
         ax, bx, ay, by = self._region_coeffs(region)
-        return (max(ax, bx + max(self.region_w[region], ew)),
-                max(ay, by + max(self.region_h[region], eh)))
+        out = []
+        for s in shapes:
+            w, h = lw + s.w, lh if lh > s.h else s.h
+            sw, sh = lw if lw > s.w else s.w, lh + s.h
+            if sw * sh < w * h:
+                w, h = sw, sh
+            x = bx + (rw if rw > w else w)
+            y = by + (rh if rh > h else h)
+            out.append((ax if ax > x else x, ay if ay > y else y))
+        return out
 
     def _best_shape(self, cand: Candidate, shape_list: ShapeList):
         """Shape minimizing the estimated design area (ties: smaller shape
-        area) and its weighted, normalized area term."""
+        area, then the first) and its weighted, normalized area term."""
+        shapes = shape_list.shapes
         best = None
-        for shape in shape_list.shapes:
-            x, y = self._approx_extents(cand, shape)
-            key = (x * y, shape.area)
-            if best is None or key < best[0]:
-                best = (key, shape, x * y)
-        _, shape, area_est = best
-        return shape, self.w.alpha * area_est / self.w.area_norm
+        for shape, (x, y) in zip(shapes, self._extents_of(cand, shapes)):
+            area = x * y
+            if (best is None or area < best_area
+                    or (area == best_area and shape.area < best.area)):
+                best, best_area = shape, area
+        return best, self.w.alpha * best_area / self.w.area_norm
 
     def evaluate(self, cand: Candidate, shape_list: ShapeList):
         """Choose the best shape for this candidate and score it.
@@ -379,22 +395,31 @@ def _recurrence(port, region_end, makespan, steps):
 
 
 def accurate_evaluate(pst_without: PST, m: str, cands: list, shapes: dict,
-                      g: TaskGraph, chip: ChipModel, weights: CostWeights):
-    """Apply each candidate, compute the full cost, return the argmin.
+                      g: TaskGraph, chip: ChipModel, weights: CostWeights,
+                      placement=None):
+    """Exact cost of each candidate from the move's base; the argmin.
 
-    Returns (pst, shapes, cost, candidate) of the cheapest candidate.
+    The base is pst_without packed (placement, when the caller has packed
+    it already, as the rough evaluator has) and scheduled once; see
+    delta.MoveBase.  Each cost equals evaluate's on the applied candidate.
+    Only the winner, the first of the cheapest, is applied.  Returns
+    (pst, shapes, cost, candidate) of the winner.
     """
     if not cands:
         raise ValueError("accurate_evaluate needs at least one candidate")
+    if placement is None:
+        placement = pack(pst_without, shapes)
+    base = MoveBase(pst_without, m, shapes, g, chip, weights.resolve(g, chip),
+                    placement, schedule(pst_without, g))
     best = None
     for cand in cands:
-        new_pst = apply_candidate(pst_without, m, cand)
-        new_shapes = dict(shapes)
-        new_shapes[m] = cand.shape
-        cost = evaluate(new_pst, new_shapes, g, chip, weights).costs
-        if best is None or cost.total < best[2].total:
-            best = (new_pst, new_shapes, cost, cand)
-    return best
+        cost = base.costs(cand)
+        if best is None or cost.total < best[0].total:
+            best = (cost, cand)
+    cost, cand = best
+    new_shapes = dict(shapes)
+    new_shapes[m] = cand.shape
+    return apply_candidate(pst_without, m, cand), new_shapes, cost, cand
 
 
 def accept_move(delta: float, temperature: float, rng: random.Random) -> bool:
@@ -438,7 +463,8 @@ class _Chain:
             self.best_feasible = (pst, shapes, cost)
 
     def _random_move(self):
-        """Delete a random module and pick rough-ranked reinsertions."""
+        """Delete a random module and pick rough-ranked reinsertions; also
+        the packing of the PST without it, the move's base."""
         m = self.rng.choice(self.ids)
         without = self.pst.without(m)
         cands = enumerate_insertions(without, m, self.g)
@@ -448,7 +474,7 @@ class _Chain:
         for cand in cands:
             cand.shape, cand.score = rough.evaluate(cand, self.lists[m])
         cands.sort(key=lambda c: c.score)
-        return m, without, cands[:ROUGH_KEEP_K]
+        return m, without, cands[:ROUGH_KEEP_K], rough.placement
 
     def initial_temperature(self):
         if self.cfg.initial_temperature is not None:
@@ -457,10 +483,11 @@ class _Chain:
         for _ in range(PROBE_MOVES):
             if self._past_deadline():
                 break
-            m, without, top = self._random_move()
+            m, without, top, placement = self._random_move()
             cand = self.rng.choice(top)
             _, _, cost, _ = accurate_evaluate(without, m, [cand], self.shapes,
-                                              self.g, self.chip, self.w)
+                                              self.g, self.chip, self.w,
+                                              placement)
             d = abs(cost.total - self.cost.total)
             if d > 1e-12:
                 deltas.append(d)
@@ -483,9 +510,10 @@ class _Chain:
             for _ in range(iters):
                 if self._past_deadline():
                     return trace
-                m, without, top = self._random_move()
+                m, without, top, placement = self._random_move()
                 new_pst, new_shapes, cost, _ = accurate_evaluate(
-                    without, m, top, self.shapes, self.g, self.chip, self.w)
+                    without, m, top, self.shapes, self.g, self.chip, self.w,
+                    placement)
                 self._track(new_pst, new_shapes, cost)
                 if accept_move(cost.total - self.cost.total, t, self.rng):
                     self.pst, self.shapes, self.cost = new_pst, new_shapes, cost

@@ -18,8 +18,10 @@ as in plain sequence-pair floorplanning, but one layer at a time: since
 regions relate uniformly and layers of one region not at all, a module's
 longest path is its region's offset plus its position inside its own
 layer.  The region offsets come from one longest path over the
-region-level relations, region_offsets, which pack and the rough scoring
-in explore both call.
+region-level relations, region_offsets.  The rough scoring in explore and
+the move costs in delta call it too, and the move costs also share
+pack_layer, the schedule recurrence run_layers and the cost formula
+costs_of with pack, schedule and evaluate.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .chip import ChipModel, Rect, ResourceVector
+from .chip import ChipModel, Rect
 from .taskgraph import TaskGraph
 
 
@@ -205,6 +207,45 @@ def region_offsets(ps_span: dict, qs_span: dict, width: dict,
     return off_x, off_y
 
 
+def pack_layer(by_p, by_q, shapes: dict, local_x: dict, local_y: dict):
+    """Plain sequence-pair packing of one layer; its (width, height).
+
+    by_p and by_q list the layer's modules in ps and in qs order.  Module
+    i is left of j when it comes first in both, and below j when it comes
+    after j in by_p but before it in by_q.  Each module's position inside
+    the layer goes to local_x and local_y.
+    """
+    qpos = {m: i for i, m in enumerate(by_q)}
+    placed = []
+    lw = 0
+    for m in by_p:
+        qm = qpos[m]
+        x = 0
+        for qi, xi in placed:
+            if qi < qm and xi > x:
+                x = xi
+        local_x[m] = x
+        end = x + shapes[m].w
+        placed.append((qm, end))
+        if end > lw:
+            lw = end
+    ppos = {m: i for i, m in enumerate(by_p)}
+    placed = []
+    lh = 0
+    for m in by_q:
+        pm = ppos[m]
+        y = 0
+        for pi, yi in placed:
+            if pi > pm and yi > y:
+                y = yi
+        local_y[m] = y
+        end = y + shapes[m].h
+        placed.append((pm, end))
+        if end > lh:
+            lh = end
+    return lw, lh
+
+
 def pack(pst: PST, shapes: dict) -> Placement:
     """Longest-path evaluation of the filtered sequence pair, by layer.
 
@@ -212,11 +253,11 @@ def pack(pst: PST, shapes: dict) -> Placement:
     in the same way, because region blocks are contiguous in ps and qs,
     while layers of one region constrain nothing across each other.  The
     longest path into a module is therefore its region's offset plus its
-    position from plain sequence-pair packing of its own layer alone.  The
-    offsets are the shared region longest path, region_offsets, with each
-    region as wide and tall as its largest layer.  This is the
-    module-level longest path over the filtered relation graph, evaluated
-    in pieces.
+    position from plain sequence-pair packing of its own layer alone
+    (pack_layer).  The offsets are the shared region longest path,
+    region_offsets, with each region as wide and tall as its largest
+    layer.  This is the module-level longest path over the filtered
+    relation graph, evaluated in pieces.
 
     The PST must be structurally valid (see validate): the decomposition
     rests on contiguous region and layer blocks.  Packing always succeeds;
@@ -224,11 +265,9 @@ def pack(pst: PST, shapes: dict) -> Placement:
     coordinates stay quantum-aligned because every height is a quantum
     multiple.
     """
-    ps, qs, part = pst.ps, pst.qs, pst.partition
-    ppos = {m: i for i, m in enumerate(ps)}
-    qpos = {m: i for i, m in enumerate(qs)}
+    ps, part = pst.ps, pst.partition
     by_q: dict = {}
-    for m in qs:
+    for m in pst.qs:
         by_q.setdefault(part[m], []).append(m)
 
     local_x: dict = {}
@@ -236,34 +275,7 @@ def pack(pst: PST, shapes: dict) -> Placement:
     region_w: dict = {}
     region_h: dict = {}
     for key, mods in pst.layer_members.items():
-        # i left of j: i before j in ps and in qs.
-        placed = []
-        lw = 0
-        for m in mods:
-            qm = qpos[m]
-            x = 0
-            for qi, xi in placed:
-                if qi < qm and xi > x:
-                    x = xi
-            local_x[m] = x
-            end = x + shapes[m].w
-            placed.append((qm, end))
-            if end > lw:
-                lw = end
-        # i below j: i after j in ps and before j in qs.
-        placed = []
-        lh = 0
-        for m in by_q[key]:
-            pm = ppos[m]
-            y = 0
-            for pi, yi in placed:
-                if pi > pm and yi > y:
-                    y = yi
-            local_y[m] = y
-            end = y + shapes[m].h
-            placed.append((pm, end))
-            if end > lh:
-                lh = end
+        lw, lh = pack_layer(mods, by_q[key], shapes, local_x, local_y)
         region = key[0]
         if lw > region_w.get(region, 0):
             region_w[region] = lw
@@ -311,7 +323,7 @@ def schedule(pst: PST, g: TaskGraph) -> ScheduleResult:
     finish executing.  A module starts once its layer is configured and
     all its predecessors have finished.  A layer's modules are timed in
     the graph's topological order, so predecessors in the same layer
-    come first.
+    come first.  The recurrence itself is run_layers.
     """
     rs_set = set(pst.rs)
     part = pst.partition
@@ -323,16 +335,33 @@ def schedule(pst: PST, g: TaskGraph) -> ScheduleResult:
     for m in g.topological_order():
         if m in part:
             in_order.setdefault(part[m], []).append(m)
-    preds = g.predecessors
     config_start: dict = {}
     config_end: dict = {}
     exec_start: dict = {}
     exec_end: dict = {}
-    layer_exec_end: dict = {}
-    region_prev: dict = {}
-    port_free = 0.0
-    for key in pst.rs:
-        mods = members[key]
+    layers = ((key, members[key], in_order[key]) for key in pst.rs)
+    makespan = run_layers(layers, g, part, 0.0, {}, exec_end, 0.0,
+                          (config_start, config_end, exec_start))
+    return ScheduleResult(config_start, config_end, exec_start, exec_end, makespan)
+
+
+def run_layers(layers, g: TaskGraph, placed, port: float, region_end: dict,
+               exec_end: dict, makespan: float, starts) -> float:
+    """The schedule recurrence over layers in configuration order.
+
+    layers yields (key, modules in ps order, modules in topological
+    order).  port is the time the port frees up, region_end maps a region
+    to the end of its last layer so far, exec_end a module to its finish
+    time, and placed holds the modules of the solution; a predecessor
+    outside it is ignored.  A layer's configuration time is its modules'
+    sum in ps order.  region_end and exec_end are updated in place, and
+    each layer's configuration start and end and each module's start go
+    to the three dicts of starts.  Returns the latest finish, makespan
+    included.
+    """
+    config_start, config_end, exec_start = starts
+    preds = g.predecessors
+    for key, mods, in_order in layers:
         conf_sum = 0.0
         for m in mods:
             conf = g.module(m).conf_time
@@ -340,24 +369,26 @@ def schedule(pst: PST, g: TaskGraph) -> ScheduleResult:
                 raise ValueError(f"schedule: module {m} has unresolved conf time")
             conf_sum += conf
         region = key[0]
-        start = port_free
-        prev = region_prev.get(region)
-        if prev is not None:
-            start = max(start, layer_exec_end[prev])
+        start = port
+        prev_end = region_end.get(region)
+        if prev_end is not None and prev_end > start:
+            start = prev_end
         config_start[key] = start
-        config_end[key] = start + conf_sum
-        port_free = config_end[key]
-        region_prev[region] = key
-        for m in in_order[key]:
-            start_t = config_end[key]
+        port = config_end[key] = start + conf_sum
+        layer_end = port
+        for m in in_order:
+            start_t = port
             for p in preds[m]:
-                if p in part:
-                    start_t = max(start_t, exec_end[p])
+                if p in placed and exec_end[p] > start_t:
+                    start_t = exec_end[p]
             exec_start[m] = start_t
-            exec_end[m] = start_t + g.module(m).exec_time
-        layer_exec_end[key] = max(exec_end[m] for m in mods)
-    makespan = max(exec_end.values(), default=0.0)
-    return ScheduleResult(config_start, config_end, exec_start, exec_end, makespan)
+            end = exec_end[m] = start_t + g.module(m).exec_time
+            if end > layer_end:
+                layer_end = end
+        region_end[region] = layer_end
+        if layer_end > makespan:
+            makespan = layer_end
+    return makespan
 
 
 # ----------------------------------------------------------------------
@@ -410,7 +441,11 @@ class CostWeights:
         area = self.area_norm or float(chip.area)
         sched = self.schedule_norm
         if sched is None:
-            total_conf = sum(m.conf_time or 0.0 for m in g.modules)
+            # Left to right: sum() of floats rounds differently from
+            # Python 3.12 on, and this normalizer reaches every cost.
+            total_conf = 0.0
+            for m in g.modules:
+                total_conf += m.conf_time or 0.0
             sched = g.critical_path_time() + total_conf
             if sched <= 0:
                 sched = 1.0
@@ -424,44 +459,56 @@ class CostWeights:
 
 def comm_cost(p: Placement, g: TaskGraph) -> float:
     """Sum over edges of weight x Manhattan distance between rect centers."""
+    cx = {m: r.x + (r.w - 1) / 2 for m, r in p.coords.items()}
+    cy = {m: r.y + (r.h - 1) / 2 for m, r in p.coords.items()}
+    return comm_between(g, cx, cy)
+
+
+def comm_between(g: TaskGraph, cx: dict, cy: dict) -> float:
+    """The communication cost from each module's centre (cx, cy), summed
+    over the edges in their order."""
     total = 0.0
     for e in g.edges:
-        a = p.coords[e.src]
-        b = p.coords[e.dst]
-        ax = a.x + (a.w - 1) / 2
-        ay = a.y + (a.h - 1) / 2
-        bx = b.x + (b.w - 1) / 2
-        by = b.y + (b.h - 1) / 2
-        total += e.weight * (abs(ax - bx) + abs(ay - by))
+        a, b = e.src, e.dst
+        total += e.weight * (abs(cx[a] - cx[b]) + abs(cy[a] - cy[b]))
     return total
 
 
-def _clip_to_chip(rect: Rect, chip: ChipModel):
-    """Intersection of the rect with the chip, or None if disjoint."""
-    x1, y1 = max(rect.x, 1), max(rect.y, 1)
-    x2, y2 = min(rect.x_hi, chip.width), min(rect.y_hi, chip.height)
-    if x2 < x1 or y2 < y1:
-        return None
-    return Rect(x1, y1, x2 - x1 + 1, y2 - y1 + 1)
-
-
 def hetero_cost(p: Placement, chip: ChipModel) -> float:
-    """Chip resources divided by region-used resources, summed per kind.
+    """Chip resources divided by region-used resources, summed per kind."""
+    return hetero_of([(b.x, b.y, b.w, b.h) for b in p.region_boxes.values()],
+                     chip)
+
+
+def hetero_of(boxes, chip: ChipModel) -> float:
+    """hetero_cost of the region boxes (x, y, w, h).
 
     Regions hanging off the chip are clipped to it before counting; a kind
     no region uses contributes HETERO_SENTINEL instead of a division by
     zero.
     """
-    used = ResourceVector()
-    for box in p.region_boxes.values():
-        clipped = _clip_to_chip(box, chip)
-        if clipped is not None:
-            used = used + chip.resources_in_window(clipped)
-    have = chip.capacity()
+    used = _tiles(boxes, chip)
+    have = _tiles([(1, 1, chip.width, chip.height)], chip)
     total = 0.0
-    for have_k, use_k in zip(have.as_tuple(), used.as_tuple()):
+    for have_k, use_k in zip(have, used):
         total += have_k / use_k if use_k > 0 else HETERO_SENTINEL
     return total
+
+
+def _tiles(boxes, chip: ChipModel) -> tuple:
+    """(CLB, BRAM, DSP) tiles inside the boxes, each clipped to the chip."""
+    clb = bram = dsp = 0
+    for x, y, w, h in boxes:
+        x2, y2 = min(x + w - 1, chip.width), min(y + h - 1, chip.height)
+        if x2 < x or y2 < y:
+            continue
+        rows = y2 - y + 1
+        n_clb, n_bram, n_dsp = chip.column_counts(x, x2 - x + 1)
+        macro = chip.macro_tiles(rows)
+        clb += n_clb * rows
+        bram += n_bram * macro
+        dsp += n_dsp * macro
+    return clb, bram, dsp
 
 
 @dataclass(frozen=True)
@@ -481,13 +528,20 @@ class CostBreakdown:
 def cost_from_parts(p: Placement, s: ScheduleResult, g: TaskGraph,
                     chip: ChipModel, w: CostWeights) -> CostBreakdown:
     """Cost terms for an already packed and scheduled solution."""
-    overflow = (max(0, p.x_max - chip.width) / chip.width
-                + max(0, p.y_max - chip.height) / chip.height)
-    cost_area = (p.x_max * p.y_max) / w.area_norm + BOUNDARY_PENALTY * overflow
-    cost_schedule = s.makespan / w.schedule_norm
-    raw_comm = comm_cost(p, g)
+    return costs_of(p.x_max, p.y_max, s.makespan, comm_cost(p, g),
+                    hetero_cost(p, chip), chip, w)
+
+
+def costs_of(x_max: int, y_max: int, makespan: float, raw_comm: float,
+             raw_hetero: float, chip: ChipModel,
+             w: CostWeights) -> CostBreakdown:
+    """The cost formula, from the design extents, the makespan and the
+    raw communication and hetero terms."""
+    overflow = (max(0, x_max - chip.width) / chip.width
+                + max(0, y_max - chip.height) / chip.height)
+    cost_area = (x_max * y_max) / w.area_norm + BOUNDARY_PENALTY * overflow
+    cost_schedule = makespan / w.schedule_norm
     cost_comm = raw_comm / w.comm_norm
-    raw_hetero = hetero_cost(p, chip)
     cost_hetero = raw_hetero / HETERO_NORM
     total = (w.alpha * cost_area + w.beta * cost_schedule
              + w.gamma_comm * cost_comm + w.lambda_ * cost_hetero)
@@ -497,11 +551,11 @@ def cost_from_parts(p: Placement, s: ScheduleResult, g: TaskGraph,
         schedule=cost_schedule,
         comm=cost_comm,
         hetero=cost_hetero,
-        makespan=s.makespan,
+        makespan=makespan,
         comm_raw=raw_comm,
-        x_max=p.x_max,
-        y_max=p.y_max,
-        feasible=is_feasible(p, chip),
+        x_max=x_max,
+        y_max=y_max,
+        feasible=x_max <= chip.width and y_max <= chip.height,
     )
 
 

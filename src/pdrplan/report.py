@@ -211,6 +211,15 @@ def run_pipeline(g: TaskGraph, chip: ChipModel,
     return report
 
 
+def _mean(values) -> float:
+    """Left-to-right mean: sum() of floats rounds differently from Python
+    3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
 def summarize(records) -> RunReport:
     records = tuple(records)
     n = len(records)
@@ -218,9 +227,9 @@ def summarize(records) -> RunReport:
     sch_best = sch_avg = comm_avg = rrt_avg = None
     if feasible:
         sch_best = min(r.makespan for r in feasible)
-        sch_avg = sum(r.makespan for r in feasible) / len(feasible)
-        comm_avg = sum(r.comm_cost for r in feasible) / len(feasible)
-        rrt_avg = RRT(*(sum(r.rrt.as_tuple()[i] for r in feasible) / len(feasible)
+        sch_avg = _mean([r.makespan for r in feasible])
+        comm_avg = _mean([r.comm_cost for r in feasible])
+        rrt_avg = RRT(*(_mean([r.rrt.as_tuple()[i] for r in feasible])
                         for i in range(3)))
     return RunReport(
         records=records,

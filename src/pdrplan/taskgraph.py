@@ -145,7 +145,10 @@ class TaskGraph:
         return max(finish.values(), default=0.0)
 
     def total_edge_weight(self) -> float:
-        return sum(e.weight for e in self.edges)
+        total = 0.0  # left to right, as on every Python version
+        for e in self.edges:
+            total += e.weight
+        return total
 
     def has_unresolved_conf(self) -> bool:
         return any(m.conf_time is None for m in self.modules)

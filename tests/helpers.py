@@ -246,7 +246,7 @@ def per_candidate_rough(ev, cand, shape_list):
             makespan = layer_end
     best = None
     for shape in shape_list.shapes:
-        x, y = ev._approx_extents(cand, shape)
+        (x, y), = ev._extents_of(cand, [shape])
         key = (x * y, shape.area)
         if best is None or key < best[0]:
             best = (key, shape, x * y)

@@ -4,9 +4,10 @@ import time
 
 import pytest
 
-from helpers import exact_rough_evaluate, make_graph
+from helpers import exact_rough_evaluate, make_graph, single_layer_pst
 from pdrplan import explore
 from pdrplan.chip import builtin_xc7vx485t
+from pdrplan.delta import MoveBase
 from pdrplan.explore import (PROBE_MOVES, RoughEvaluator, SAConfig,
                              accept_move, accurate_evaluate, anneal,
                              apply_candidate, enumerate_insertions,
@@ -176,7 +177,7 @@ class TestAccurateEvaluate:
             without, m, [cand], shapes, g, chip, w)
         assert picked is cand
         recomputed = evaluate(new_pst, new_shapes, g, chip, w).costs
-        assert cost.total == pytest.approx(recomputed.total)
+        assert cost == recomputed
 
     def test_argmin_over_candidates(self, chip):
         g, lists = t10_instance(6, chip)
@@ -190,13 +191,83 @@ class TestAccurateEvaluate:
             c.shape = lists[m].shapes[0]
         _, _, best_cost, _ = accurate_evaluate(without, m, cands, shapes, g,
                                                chip, w)
-        totals = []
+        costs = []
         for c in cands:
             applied = apply_candidate(without, m, c)
             trial = dict(shapes)
             trial[m] = c.shape
-            totals.append(evaluate(applied, trial, g, chip, w).costs.total)
-        assert best_cost.total == pytest.approx(min(totals))
+            costs.append(evaluate(applied, trial, g, chip, w).costs)
+        assert best_cost == min(costs, key=lambda c: c.total)
+
+
+class TestMoveBase:
+    """The delta cost of every candidate equals a full evaluate."""
+
+    @staticmethod
+    def walk(chip, name, seed, moves, seen):
+        g, lists = prepare_instance(generate(preset_spec(name, seed=0)),
+                                    chip, ShapeGenConfig(), 0.001)
+        w = CostWeights().resolve(g, chip)
+        rng = random.Random(seed)
+        pst = initial_solution(g, lists, chip)
+        shapes = {m: lists[m].min_area_shape() for m in g.module_ids}
+        ids = list(g.module_ids)
+        for _ in range(moves):
+            m = rng.choice(ids)
+            without = pst.without(m)
+            if len(without.region_layers) < len(pst.region_layers):
+                seen.add("region emptied")
+            base = MoveBase(without, m, shapes, g, chip, w,
+                            pack(without, shapes), schedule(without, g))
+            cands = enumerate_insertions(without, m, g)
+            for cand in cands:
+                cand.shape = rng.choice(lists[m].shapes)
+                expect = evaluate(apply_candidate(without, m, cand),
+                                  {**shapes, m: cand.shape}, g, chip, w).costs
+                assert base.costs(cand) == expect
+                if cand.new_region:
+                    seen.add(("corner", cand.ps_pos == 0, cand.qs_pos == 0))
+                seen.add(("fresh layer" if cand.new_layer else "layer",
+                          expect.feasible))
+            # Fresh regions now and then, so that moves empty regions too.
+            fresh = [c for c in cands if c.new_region]
+            if fresh and rng.random() < 0.3:
+                cands = fresh
+            cand = rng.choice(cands)
+            pst = apply_candidate(without, m, cand)
+            shapes[m] = cand.shape
+
+    def test_delta_equals_evaluate_on_random_walks(self, chip):
+        seen = set()
+        self.walk(chip, "t10-1", 1, 20, seen)
+        self.walk(chip, "t10-2", 2, 20, seen)
+        self.walk(chip, "t30-1", 3, 20, seen)
+        assert seen >= {"region emptied",
+                        ("corner", True, True), ("corner", True, False),
+                        ("corner", False, True), ("corner", False, False),
+                        ("layer", True), ("layer", False),
+                        ("fresh layer", True), ("fresh layer", False)}
+
+
+def test_float_sums_run_left_to_right(chip):
+    """Configuration times and edge weights are summed left to right.
+    sum() of floats compensates from Python 3.12 on; a loop gives every
+    interpreter the same normalizers, scores and seeded outputs."""
+    def left_to_right(n):
+        total = 0.0
+        for _ in range(n):
+            total += 0.1
+        return total
+
+    assert left_to_right(11) != math.fsum([0.1] * 11)
+    edges = [(f"m{i}", f"m{i + 1}", 0.1) for i in range(1, 11)]
+    g = make_graph(11, edges=edges, exec_time=0.001, conf=0.1)
+    w = CostWeights().resolve(g, chip)
+    assert w.schedule_norm == g.critical_path_time() + left_to_right(11)
+    assert g.total_edge_weight() == left_to_right(10)
+    pst = single_layer_pst([f"m{i}" for i in range(1, 11)])
+    ev = RoughEvaluator(pst, {m: Shape(2, 5) for m in pst.ps}, g, w, "m11")
+    assert ev.conf_sum[(0, 0)] == left_to_right(10)
 
 
 class TestAcceptance:

@@ -196,8 +196,8 @@ def test_rough_extents_equal_other_layer_scan(name, seed):
     g, lists, without, _, m, ev = random_move(name, seed)
     for cand in enumerate_insertions(without, m, g):
         for shape in lists[m].shapes:
-            assert ev._approx_extents(cand, shape) == reference_approx_extents(
-                ev, cand, shape)
+            assert ev._extents_of(cand, [shape]) == [reference_approx_extents(
+                ev, cand, shape)]
 
 
 @MOVES
@@ -211,7 +211,7 @@ def test_fresh_target_extents_equal_pack(name, seed):
         applied = apply_candidate(without, m, cand)
         for shape in lists[m].shapes:
             p = pack(applied, {**shapes, m: shape})
-            assert ev._approx_extents(cand, shape) == (p.x_max, p.y_max)
+            assert ev._extents_of(cand, [shape]) == [(p.x_max, p.y_max)]
 
 
 @FAST

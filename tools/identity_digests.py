@@ -3,9 +3,12 @@
     python3 tools/identity_digests.py --src path/to/checkout/src [--out DIR]
 
 Run it on two checkouts and compare the listings: a change meant to leave
-the planner's results alone prints the same listing as its parent.  The
-runs are the benchmark's inputs, made by planbench/inputs.py next to this
-script, so both checkouts see the same graphs:
+the planner's results alone prints the same listing as its parent.  Run
+it under every supported interpreter too (python3.10, 3.11, 3.12 and
+3.13): all of them must print the same listing, so that seeded outputs
+do not depend on the Python version.  The runs are the benchmark's
+inputs, made by planbench/inputs.py next to this script, so both
+checkouts see the same graphs:
 
 - `pdrplan run --runs 1 --seed 0` and `pdrplan explore --seed 1` on the
   run-t10 graphs (t10-1, t10-2, t10-3, graph seed 0);
