@@ -11,9 +11,14 @@ The model is kept in structured form only: shape dimensions per module
 plus the sequence-pair relations (Murata et al., IEEE TCAD 1996).  The
 bundled solver branches on the selection rows.  One longest-path routine
 serves it: over predecessor lists in dependency order it gives each
-module's head, over successor lists in the reverse order its tail.  With
-every module at its least remaining width and height, the heads give
-extents no completion undercuts.  Shapes whose longest path (head + size
+module's head, over successor lists in the reverse order its tail.  The
+lists hold the transitive reduction of the relations (Aho, Garey and
+Ullman, SIAM J. Comput. 1972): every shape is at least 1 by 1, so an edge
+that two others imply has slack of at least the middle module's size and
+sets no head, tail or critical path.  With every module at its least
+remaining width and height, the heads give extents no completion
+undercuts; a node hands these minima to its children, which change only
+the branched module's entry.  Shapes whose longest path (head + size
 + tail) breaks the extent budget that beating the incumbent leaves are
 dropped for the bound only, until none goes.  The one bound, (objective
 upper bound, -least total area) over the survivors, prunes a node unless
@@ -84,13 +89,21 @@ def sequence_pair_relations(pst: PST):
 
 
 def build_model(pst: PST, shape_lists: dict, chip: ChipModel) -> ILPModel:
-    """Assemble the reselection program for a fixed PST."""
+    """Assemble the reselection program for a fixed PST.
+
+    Every shape must be at least 1 by 1: the solver's longest paths rely
+    on it (see _Search.__init__).
+    """
     modules = tuple(pst.ps)
     dims = {}
     for m in modules:
         sl = shape_lists.get(m)
         if sl is None or not sl.shapes:
             raise ValueError(f"module {m} has no candidate shapes")
+        for s in sl.shapes:
+            if s.w < 1 or s.h < 1:
+                raise ValueError(
+                    f"module {m}: shape {s.w}x{s.h} is not at least 1x1")
         dims[m] = tuple((s.w, s.h) for s in sl.shapes)
     h_pairs, v_pairs = sequence_pair_relations(pst)
     return ILPModel(
@@ -113,15 +126,19 @@ class _Search:
         self.n = len(self.modules)
         idx = {m: i for i, m in enumerate(self.modules)}
         self.dims = [model.shape_dims[m] for m in self.modules]
-        self.h_preds = [[] for _ in range(self.n)]
-        self.v_preds = [[] for _ in range(self.n)]
-        self.h_succs = [[] for _ in range(self.n)]
-        self.v_succs = [[] for _ in range(self.n)]
-        for pairs, preds, succs in ((model.h_pairs, self.h_preds, self.h_succs),
-                                    (model.v_pairs, self.v_preds, self.v_succs)):
-            for a, b in pairs:
-                preds[idx[b]].append(idx[a])
-                succs[idx[a]].append(idx[b])
+        self.h_preds, self.h_succs = self._reduced(model.h_pairs, idx)
+        self.v_preds, self.v_succs = self._reduced(model.v_pairs, idx)
+        # The lists drop each edge p -> i that edges p -> q -> i imply.
+        # build_model keeps every size >= 1, so head[i] >= head[p] +
+        # size[p] + size[q] over the kept edges: a dropped edge never sets
+        # a head or a tail, and is never the first tight predecessor that
+        # _critical_modules and _pick_branch follow.  The kept edges stay
+        # in pairs order, so nodes, branching and results are those of the
+        # full relations.  The per-module minima are inherited the same
+        # exact way: a child narrows only the branched module to one
+        # shape, and _can_improve's filter recomputes only the modules it
+        # took shapes from, so each entry is the least size over that
+        # module's remaining shapes.
         # Longest paths are evaluated in dependency order.  Model order is
         # ps order: in a horizontal pair (a, b), a comes first in ps; in a
         # vertical one the lower module a comes later (Murata et al.).  So
@@ -135,6 +152,30 @@ class _Search:
         self.best_key = None  # (objective, -total area), maximized
         self.best_choice = None
         self.timed_out = False
+
+    def _reduced(self, pairs, idx):
+        """(predecessor lists, successor lists) of the relation pairs,
+        without the edges p -> i that two edges p -> q -> i imply; each
+        list keeps the order of pairs."""
+        edges = [(idx[a], idx[b]) for a, b in pairs]
+        succ_bits = [0] * self.n
+        pred_bits = [0] * self.n
+        for a, b in edges:
+            succ_bits[a] |= 1 << b
+            pred_bits[b] |= 1 << a
+        preds = [[] for _ in range(self.n)]
+        succs = [[] for _ in range(self.n)]
+        for a, b in edges:
+            if not succ_bits[a] & pred_bits[b]:
+                preds[b].append(a)
+                succs[a].append(b)
+        return preds, succs
+
+    def _minima(self, shapes):
+        """(least width, least height) of each module over its shapes."""
+        wmin = [min(d[j][0] for j in s) for d, s in zip(self.dims, shapes)]
+        hmin = [min(d[j][1] for j in s) for d, s in zip(self.dims, shapes)]
+        return wmin, hmin
 
     def _longest(self, order, preds, size):
         """Longest path into each module over the given relation lists.
@@ -153,14 +194,13 @@ class _Search:
             pos[i] = best
         return pos
 
-    def _paths(self, shapes):
+    def _paths(self, wmin, hmin):
         """(extent, critical end, heads, sizes) per axis, x then y, with
-        every module at its least width and height among its shapes; the
+        every module at its least width (wmin) and height (hmin); the
         critical end is the module ending the extent, -1 at extent 0."""
         axes = []
-        for k, order, preds in ((0, self.h_order, self.h_preds),
-                                (1, self.v_order, self.v_preds)):
-            size = [min(d[j][k] for j in s) for d, s in zip(self.dims, shapes)]
+        for order, preds, size in ((self.h_order, self.h_preds, wmin),
+                                   (self.v_order, self.v_preds, hmin)):
             head = self._longest(order, preds, size)
             ext, arg = 0, -1
             for i in range(self.n):
@@ -188,7 +228,8 @@ class _Search:
 
     def _can_improve(self, allowed, paths):
         """The (objective, -area) bound of allowed's completions when it
-        beats the incumbent's key, else None; paths is _paths(allowed).
+        beats the incumbent's key, else None; paths is _paths of allowed's
+        minima.
 
         A completion beating an incumbent of objective obj has
         X + Y <= S = W + H - obj, so X <= min(W, S - Y_lb) and
@@ -220,7 +261,7 @@ class _Search:
             xtail = self._longest(self.v_order, self.h_succs, wmin)
             ytail = self._longest(self.h_order, self.v_succs, hmin)
             kept_all = []
-            changed = False
+            dropped = []
             for i in range(self.n):
                 wcap = xcap - xhead[i] - xtail[i]
                 hcap = ycap - yhead[i] - ytail[i]
@@ -230,12 +271,16 @@ class _Search:
                 if not kept:
                     return None
                 if len(kept) < len(shapes[i]):
-                    changed = True
+                    dropped.append(i)
                 kept_all.append(kept)
-            if not changed:
+            if not dropped:
                 break
             shapes = kept_all
-            paths = self._paths(shapes)
+            wmin, hmin = wmin[:], hmin[:]
+            for i in dropped:
+                wmin[i] = min(dims[i][j][0] for j in shapes[i])
+                hmin[i] = min(dims[i][j][1] for j in shapes[i])
+            paths = self._paths(wmin, hmin)
         key = ((width - xext) + (height - yext), -self._area_lb(shapes))
         return key if best is None or key > best else None
 
@@ -253,10 +298,11 @@ class _Search:
                     for i in range(self.n)]
         for choice in (min_area, balanced):
             leaf = [[j] for j in choice]
-            key = self._can_improve(leaf, self._paths(leaf))
+            key = self._can_improve(leaf, self._paths(*self._minima(leaf)))
             if key is not None:
                 self.best_key, self.best_choice = key, choice
-        self.dfs([list(range(len(dims[i]))) for i in range(self.n)])
+        root = [list(range(len(dims[i]))) for i in range(self.n)]
+        self.dfs(root, *self._minima(root))
         wall = time.monotonic() - start
         if self.timed_out:
             status = "timeout"
@@ -274,12 +320,15 @@ class _Search:
                            objective=objective, nodes=self.nodes,
                            wall_time=wall)
 
-    def dfs(self, allowed):
+    def dfs(self, allowed, wmin, hmin):
+        """Search below the node allowed, whose per-module least widths
+        and heights are wmin and hmin; a child copies them and sets the
+        branched module's entries from its one shape."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             self.timed_out = True
             return
         self.nodes += 1
-        paths = self._paths(allowed)
+        paths = self._paths(wmin, hmin)
         key = self._can_improve(allowed, paths)
         if key is None:
             return
@@ -293,7 +342,9 @@ class _Search:
         for j in shape_order:
             saved = allowed[branch]
             allowed[branch] = [j]
-            self.dfs(allowed)
+            child_w, child_h = wmin[:], hmin[:]
+            child_w[branch], child_h[branch] = self.dims[branch][j]
+            self.dfs(allowed, child_w, child_h)
             allowed[branch] = saved
             if self.timed_out:
                 return

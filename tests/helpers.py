@@ -169,12 +169,25 @@ def brute_force_best_objective(pst, lists, chip):
 
 
 class _ReferenceSearch(_Search):
-    """The branch and bound with the plain bound: prune when the longest
-    paths over every remaining shape's minima leave the chip or cannot
-    beat the incumbent's (objective, -area lower bound)."""
+    """The branch and bound over the full relations with the plain bound:
+    every sequence-pair relation is a longest-path edge, each node's
+    minima are rebuilt from its shapes, and a node is pruned when those
+    longest paths leave the chip or cannot beat the incumbent's
+    (objective, -area lower bound)."""
+
+    def __init__(self, model, time_limit):
+        super().__init__(model, time_limit)
+        idx = {m: i for i, m in enumerate(self.modules)}
+        self.h_preds, self.h_succs, self.v_preds, self.v_succs = (
+            [[] for _ in idx] for _ in range(4))
+        for pairs, preds, succs in ((model.h_pairs, self.h_preds, self.h_succs),
+                                    (model.v_pairs, self.v_preds, self.v_succs)):
+            for a, b in pairs:
+                preds[idx[b]].append(idx[a])
+                succs[idx[a]].append(idx[b])
 
     def _can_improve(self, allowed, paths):
-        (xext, *_), (yext, *_) = paths
+        (xext, *_), (yext, *_) = self._paths(*self._minima(allowed))
         if xext > self.width or yext > self.height:
             return None
         key = ((self.width - xext) + (self.height - yext),
@@ -183,10 +196,11 @@ class _ReferenceSearch(_Search):
 
 
 def reference_solve(model, time_limit=None):
-    """Reference solve: the same branching, seeds and leaves as
-    pdrplan.ilp.solve but the plain bound, which expands every subtree
-    that still fits the chip and whose plain bound beats the incumbent.
-    solve must return the same status, objective and selection."""
+    """Reference solve: the same branching order, seeds and leaves as
+    pdrplan.ilp.solve, but over the full relations and with the plain
+    bound, which expands every subtree that still fits the chip and whose
+    plain bound beats the incumbent.  solve must return the same status,
+    objective and selection."""
     return _ReferenceSearch(model, time_limit).run()
 
 

@@ -8,15 +8,15 @@ import pytest
 from helpers import (brute_force_best_key, brute_force_best_objective,
                      make_graph, random_pst, selection_key, single_layer_pst)
 from pdrplan.chip import ChipModel, builtin_xc7vx485t
-from pdrplan.explore import SAConfig, anneal
 from pdrplan.ilp import apply, build_model, export_lp, solve
 from pdrplan.pst import CostWeights, PST, pack
 from pdrplan.report import prepare_instance
 from pdrplan.shapes import Shape, ShapeGenConfig, ShapeList
 from pdrplan.solio import load_solution
-from pdrplan.taskgraph import generate, load_graph, preset_spec
+from pdrplan.taskgraph import load_graph
 
 POSTOPT = Path(__file__).resolve().parents[1] / "planbench" / "postopt"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -24,27 +24,33 @@ def chip():
     return builtin_xc7vx485t()
 
 
-def postopt_model(name, chip):
-    """The reselection program of a benchmark post-opt instance."""
-    g, lists = prepare_instance(load_graph(POSTOPT / f"{name}.graph"),
+def load_instance(stem, chip):
+    """(graph, shape lists, solution) of a graph and solution file pair."""
+    g, lists = prepare_instance(load_graph(stem.with_suffix(".graph")),
                                 chip, ShapeGenConfig(), 0.001)
-    sol = load_solution(POSTOPT / f"{name}.solution", g, chip,
+    sol = load_solution(stem.with_suffix(".solution"), g, chip,
                         CostWeights().resolve(g, chip))
+    return g, lists, sol
+
+
+def instance_model(name, chip):
+    """The reselection program of a benchmark post-opt instance, or of a
+    crowded instance in tests/data when the name starts with crowded-."""
+    stem = (DATA if name.startswith("crowded-") else POSTOPT) / name
+    _, lists, sol = load_instance(stem, chip)
     return build_model(sol.pst, lists, chip)
 
 
-# Annealing runs short enough to leave one or two crowded regions, whose
-# reselection programs are hard for the branch and bound.
-CROWDED_SA = SAConfig(seed=0, iterations_per_temperature=2,
-                      initial_temperature=5.0, min_temperature=0.05)
-
-
-def crowded_model(preset, graph_seed, chip):
-    """The reselection program of a short annealing run on a preset graph."""
-    g, lists = prepare_instance(generate(preset_spec(preset, seed=graph_seed)),
-                                chip, ShapeGenConfig(), 0.001)
-    sol, _ = anneal(g, lists, chip, CROWDED_SA)
-    return build_model(sol.pst, lists, chip)
+# tests/data/crowded-<preset>-s<graph seed>.{graph,solution}: the graph of
+# generate(preset_spec(preset, seed=graph_seed)) and the plan that anneal
+# made of it with SAConfig(seed=0, iterations_per_temperature=2,
+# initial_temperature=5.0, min_temperature=0.05), after prepare_instance
+# with ShapeGenConfig() and configuration rate 0.001.  Runs that short
+# leave one or two crowded regions, whose reselection programs are hard
+# for the branch and bound.  They are files so that these tests do not
+# move with the annealer.
+CROWDED_TIMEOUTS = ("crowded-t30-1-s1", "crowded-t30-2-s3",
+                    "crowded-t50-1-s0", "crowded-t50-1-s1")
 
 
 def toy_chip(width=40, height=60):
@@ -101,6 +107,16 @@ class TestBuildModel:
         pst = single_layer_pst(["m1"])
         with pytest.raises((ValueError, KeyError)):
             build_model(pst, {}, chip)
+
+    @pytest.mark.parametrize("bad", [Shape(0, 5), Shape(4, 0), Shape(-1, 5)],
+                             ids=["0x5", "4x0", "-1x5"])
+    def test_shape_below_one_rejected(self, bad, chip):
+        """The search's reduced relations are exact only for sizes >= 1."""
+        pst = single_layer_pst(["m1", "m2"])
+        lists = {"m1": ShapeList("m1", (Shape(4, 5),)),
+                 "m2": ShapeList("m2", (Shape(4, 5), bad))}
+        with pytest.raises(ValueError, match="module m2"):
+            build_model(pst, lists, chip)
 
 
 class TestSolve:
@@ -183,12 +199,22 @@ class TestSolve:
             assert got == want
 
     def test_deadline_honoured_on_crowded_instance(self, chip):
-        model = crowded_model("t30-2", 3, chip)
+        model = instance_model("crowded-t30-2-s3", chip)
         started = time.monotonic()
         res = solve(model, 1.0)
         assert time.monotonic() - started <= 1.5
         assert res.status == "timeout"
         assert res.selection is not None and res.objective is not None
+
+    @pytest.mark.parametrize("name", CROWDED_TIMEOUTS)
+    def test_crowded_timeout_incumbent_fits(self, name, chip):
+        """On the crowded instances that time out, the incumbent after a
+        short search re-packs inside the chip."""
+        g, lists, sol = load_instance(DATA / name, chip)
+        res = solve(build_model(sol.pst, lists, chip), 1.0)
+        assert res.selection is not None
+        w = CostWeights().resolve(g, chip)
+        assert apply(sol.pst, res.selection, lists, g, chip, w).feasible
 
     def test_timeout_reports_incumbent(self, chip):
         rng = random.Random(5)
@@ -219,7 +245,8 @@ class TestSolve:
 
 
 class TestPinnedSearch:
-    """The branch and bound on the benchmark's overflowing solutions.
+    """The branch and bound on the benchmark's overflowing solutions and
+    on a crowded annealing result.
 
     Node counts follow from the branching order, the shape order and the
     bounds, so a change to any of them shows here even when the optimum
@@ -237,11 +264,12 @@ class TestPinnedSearch:
         "t30-3-s0": (100.0, 11, {}),
         "t50-1-s0": (100.0, 10, {}),
         "t50-3-s5": (0.0, 3033, {"m34": 1, "m36": 2}),
+        "crowded-t30-1-s0": (171.0, 2830, {"m26": 1}),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_status_objective_and_nodes(self, name, chip):
-        model = postopt_model(name, chip)
+        model = instance_model(name, chip)
         res = solve(model, 60)
         objective, nodes, moved = self.PINNED[name]
         assert (res.status, res.objective, res.nodes) == (
@@ -470,17 +498,13 @@ class TestExportLP:
                 agree += 1
         assert agree >= 5  # most random instances are feasible
 
-    @pytest.mark.parametrize("name", sorted(TestPinnedSearch.PINNED)
-                             + ["crowded-t30-1-s0"])
+    @pytest.mark.parametrize("name", sorted(TestPinnedSearch.PINNED))
     def test_optimum_equals_highs(self, name, chip):
         """The bundled solver proves the HiGHS optimum within 20 s on the
         benchmark's post-opt instances and on a crowded annealing result
         (HiGHS optimum 171) that the plain bound does not close in 20 s."""
         pytest.importorskip("scipy")
-        if name.startswith("crowded-"):
-            model = crowded_model("t30-1", 0, chip)
-        else:
-            model = postopt_model(name, chip)
+        model = instance_model(name, chip)
         res = solve(model, 20)
         assert res.status == "optimal"
         assert solve_lp_with_scipy(export_lp(model)) == pytest.approx(
@@ -494,7 +518,7 @@ class TestExportLP:
 def test_solve_time_limit(time_limit, status, chip):
     """0 stops at the first deadline check and inf sets no limit; a
     negative or NaN limit is rejected."""
-    model = postopt_model("t10-2-s0", chip)
+    model = instance_model("t10-2-s0", chip)
     if status is None:
         with pytest.raises(ValueError, match="time_limit"):
             solve(model, time_limit)

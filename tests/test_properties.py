@@ -10,14 +10,14 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (layered_pst, make_graph, module_level_pack,
-                     per_candidate_rough, random_pst, reference_approx_extents,
-                     reference_schedule, reference_solve,
-                     scan_min_column_counts)
+from helpers import (_ReferenceSearch, layered_pst, make_graph,
+                     module_level_pack, per_candidate_rough, random_pst,
+                     reference_approx_extents, reference_schedule,
+                     reference_solve, scan_min_column_counts)
 from pdrplan.chip import ChipModel, ResourceVector, builtin_xc7vx485t, load_chip
 from pdrplan.explore import (RoughEvaluator, apply_candidate,
                              enumerate_insertions, initial_solution)
-from pdrplan.ilp import build_model, solve
+from pdrplan.ilp import _Search, build_model, solve
 from pdrplan.pst import CostWeights, evaluate, pack, schedule
 from pdrplan.report import prepare_instance
 from pdrplan.shapes import Shape, ShapeGenConfig, ShapeList
@@ -127,7 +127,7 @@ TOY_CHIP = ChipModel(width=40, height=60, bram_cols=frozenset({3, 17}),
 def test_solve_equals_reference_solve(n, max_shapes, toy, seed):
     """Filtering shapes against the incumbent's extent budget changes only
     the node count: status, objective and selection stay those of the
-    plain bound."""
+    plain bound over the full relations."""
     rng = random.Random(seed)
     chip = TOY_CHIP if toy else CHIP
     ids = [f"m{i}" for i in range(n)]
@@ -144,6 +144,35 @@ def test_solve_equals_reference_solve(n, max_shapes, toy, seed):
     assert (got.status, got.objective, got.selection) == (
         want.status, want.objective, want.selection)
     assert got.nodes <= want.nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_reduced_relations_keep_longest_paths(n, max_size, seed):
+    """With every size >= 1, the transitively reduced relation lists of
+    the search give the heads, the tails and, from every module, the
+    critical path of the full lists.  Small sizes make ties, so a
+    reordered list would pick another tight predecessor."""
+    rng = random.Random(seed)
+    ids = [f"m{i}" for i in range(n)]
+    pst = random_pst(rng, ids)
+    lists = {m: ShapeList(m, (Shape(1, 5),)) for m in ids}
+    model = build_model(pst, lists, CHIP)
+    reduced = _Search(model, None)
+    full = _ReferenceSearch(model, None)
+    for axis, order in (("h", reduced.h_order), ("v", reduced.v_order)):
+        size = [rng.randint(1, max_size) for _ in ids]
+
+        def longest_paths(search):
+            preds = getattr(search, f"{axis}_preds")
+            succs = getattr(search, f"{axis}_succs")
+            head = search._longest(order, preds, size)
+            tail = search._longest(order[::-1], succs, size)
+            critical = [search._critical_modules(i, preds, head, size)
+                        for i in range(n)]
+            return head, tail, critical
+
+        assert longest_paths(reduced) == longest_paths(full)
 
 
 @functools.lru_cache(maxsize=None)
