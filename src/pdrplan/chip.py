@@ -88,6 +88,7 @@ class ChipModel:
     _bram_prefix: tuple = field(init=False, repr=False, compare=False)
     _dsp_prefix: tuple = field(init=False, repr=False, compare=False)
     _min_counts: tuple = field(init=False, repr=False, compare=False)
+    _capacity: ResourceVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "bram_cols", frozenset(self.bram_cols))
@@ -109,6 +110,9 @@ class ChipModel:
                          min(map(sub, bram[w:], bram)),
                          min(map(sub, dsp[w:], dsp))))
         object.__setattr__(self, "_min_counts", tuple(mins))
+        # The whole chip's tiles: every hetero cost divides by them.
+        object.__setattr__(self, "_capacity", self.resources_in_window(
+            Rect(1, 1, self.width, self.height)))
 
     def _validate(self):
         if self.width < 1 or self.height < 1:
@@ -179,7 +183,7 @@ class ChipModel:
 
     def capacity(self) -> ResourceVector:
         """Total tiles of each kind on the chip."""
-        return self.resources_in_window(Rect(1, 1, self.width, self.height))
+        return self._capacity
 
     @property
     def area(self) -> int:

@@ -3,15 +3,17 @@
 Each move deletes one module and reinserts it somewhere else: into an
 existing layer, into a fresh layer of an existing region, or into a fresh
 region.  The move packs the PST without the module once; that packing is
-the base of both stages.  Insertion points are first ranked by a cheap
-rough score (area and schedule estimates; the moved module's shape is
-reselected from its candidate list at the same time), then the best few
-are costed exactly from the base and one schedule of it (delta.MoveBase),
-and the winner goes through the usual Metropolis acceptance test.  Rough
-estimates are computed once per class of insertion points that share
-them (the same target layer or region side, the same configuration slot)
-rather than once per point.  A fresh layer is scored as an empty layer,
-and a region as its largest layer.
+the base of both stages.  A sample of the insertion points, built only
+when sampled, is first ranked by a cheap rough score (area and schedule
+estimates; the moved module's shape is reselected from its candidate list
+at the same time), then the best few are costed exactly from the base and
+one schedule of it (delta.MoveBase), and the winner goes through the
+usual Metropolis acceptance test.  Rough estimates are computed once per
+class of insertion points that share them (the same target layer or
+region side, the same configuration slot) rather than once per point,
+and only for points whose lower bound can still reach the best few.  A
+fresh layer is scored as an empty layer, and a region as its largest
+layer.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_left, bisect_right, insort
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .chip import ChipModel
 from .errors import InfeasibleModuleError
@@ -48,8 +53,10 @@ class SAConfig:
     min_temperature as 1e-3 x initial.  time_limit bounds the probe moves
     as well as the annealing proper.  Each move samples at most
     MAX_CANDIDATES insertion points and re-costs the ROUGH_KEEP_K with the
-    best rough scores exactly.  anneal runs one chain, seeded with seed;
-    PipelineConfig.runs repeats it with seeds seed, seed + 1, ...
+    best rough scores exactly; RoughEvaluator.best finds those without
+    scoring the points a bound rules out.  anneal runs one chain, seeded
+    with seed; PipelineConfig.runs repeats it with seeds seed, seed + 1,
+    ...
     """
 
     initial_temperature: float | None = None
@@ -132,14 +139,59 @@ def initial_solution(g: TaskGraph, shape_lists: dict, chip: ChipModel) -> PST:
     return PST(ps=seq, qs=seq, rs=rs, partition=partition)
 
 
-def enumerate_insertions(pst: PST, m: str, g: TaskGraph) -> list:
+class Insertions(Sequence):
+    """The insertion points of one move, each built on first access.
+
+    A block (layer, new_layer, new_region, i, j, t, nj, nt, size) holds
+    the points of one target in order: its point k has ps_pos i + k //
+    (nj * nt), qs_pos j + k // nt % nj and rs_pos t + k % nt.  A point is
+    built once, so seq[k] is seq[k]; random.sample and choice only call
+    len and index, and draw from it as from the list of every point.
+    """
+
+    def __init__(self, blocks):
+        self._blocks = [b for b in blocks if b[-1]]
+        self._ends = list(accumulate(b[-1] for b in self._blocks))
+        self._built = [None] * (self._ends[-1] if self._ends else 0)
+
+    def __len__(self):
+        return len(self._built)
+
+    @staticmethod
+    def _build(block, k):
+        key, new_layer, new_region, i, j, t, nj, nt, _ = block
+        return Candidate(key, i + k // (nj * nt), j + k // nt % nj, t + k % nt,
+                         new_layer, new_region)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        cand = self._built[k]
+        if cand is None:
+            k %= len(self._built)
+            b = bisect_right(self._ends, k)
+            cand = self._built[k] = self._build(
+                self._blocks[b], k - self._ends[b - 1] if b else k)
+        return cand
+
+    def __iter__(self):
+        built, k = self._built, 0
+        for block in self._blocks:
+            for off in range(block[-1]):
+                if built[k] is None:
+                    built[k] = self._build(block, off)
+                yield built[k]
+                k += 1
+
+
+def enumerate_insertions(pst: PST, m: str, g: TaskGraph) -> Insertions:
     """Every structurally valid reinsertion point for module m.
 
     Existing layers are offered at every (ps, qs) slot pair inside the
     layer block; each region offers a fresh layer appended to its block at
     every configuration-order position; a fresh region is offered at the
     four sequence corners.  Positions violating dependency order in g are
-    dropped.
+    dropped.  The points come in that order, built as they are read.
     """
     if m in pst.partition:
         raise ValueError(f"module {m} must be deleted before reinsertion")
@@ -155,35 +207,24 @@ def enumerate_insertions(pst: PST, m: str, g: TaskGraph) -> list:
         if s in pst.partition:
             min_succ = min(min_succ, rs_index[pst.partition[s]])
 
-    cands = []
-    for key in pst.rs:
-        t = rs_index[key]
-        if not max_pred <= t <= min_succ:
-            continue
-        a, b = layer_ps[key]
-        c, d = layer_qs[key]
-        for i in range(a, b + 2):
-            for j in range(c, d + 2):
-                cands.append(Candidate(layer=key, ps_pos=i, qs_pos=j,
-                                       rs_pos=t, new_layer=False,
-                                       new_region=False))
+    blocks = []
+    for t, key in enumerate(pst.rs):
+        if max_pred <= t <= min_succ:
+            (a, b), (c, d) = layer_ps[key], layer_qs[key]
+            blocks.append((key, False, False, a, c, t, d - c + 2, 1,
+                           (b - a + 2) * (d - c + 2)))
     # New layers go at the end of the region's block; dependency-wise the
     # fresh layer may take any rs slot after every predecessor's layer.
-    rs_lo, rs_hi = max_pred + 1, min_succ
+    rs_lo, nt = max_pred + 1, max(0, min_succ - max_pred)
     for region in sorted(region_ps):
         key = (region, 1 + max(k[1] for k in pst.region_layers[region]))
-        i = region_ps[region][1] + 1
-        j = region_qs[region][1] + 1
-        for p in range(rs_lo, rs_hi + 1):
-            cands.append(Candidate(layer=key, ps_pos=i, qs_pos=j, rs_pos=p,
-                                   new_layer=True, new_region=False))
+        blocks.append((key, True, False, region_ps[region][1] + 1,
+                       region_qs[region][1] + 1, rs_lo, 1, nt, nt))
     new_region = 1 + max(pst.region_layers, default=-1)
     corners = sorted({(i, j) for i in (0, len(pst.ps)) for j in (0, len(pst.qs))})
     for i, j in corners:
-        for p in range(rs_lo, rs_hi + 1):
-            cands.append(Candidate(layer=(new_region, 0), ps_pos=i, qs_pos=j,
-                                   rs_pos=p, new_layer=True, new_region=True))
-    return cands
+        blocks.append(((new_region, 0), True, True, i, j, rs_lo, 1, nt, nt))
+    return Insertions(blocks)
 
 
 def apply_candidate(pst: PST, m: str, cand: Candidate) -> PST:
@@ -226,9 +267,11 @@ class RoughEvaluator:
     computed once per class of candidates and shared by the class.  The
     shape choice and area term depend on the target alone: a layer of an
     existing region, or a fresh region on its side of the design.  The
-    schedule term depends on (layer, rs_pos); its recurrence resumes from
-    the state saved just before that rs position.  Shared values are the
-    same floats a per-candidate computation gives.
+    schedule term depends on (layer, rs_pos): the candidate's step starts
+    from the base recurrence's state before that rs position, kept per
+    step, and the steps after it are replayed.  Shared values are the same
+    floats a per-candidate computation gives.  best ranks a move's
+    candidates and scores only those a bound cannot rule out.
     """
 
     def __init__(self, pst: PST, shapes: dict, g: TaskGraph,
@@ -241,39 +284,45 @@ class RoughEvaluator:
         self.placement = pack(pst, shapes)
         self.x_base = self.placement.x_max
         self.y_base = self.placement.y_max
-
-        self.layer_w: dict = {}
-        self.layer_h: dict = {}
-        for key, members in pst.layer_members.items():
-            xs = [self.placement.coords[x] for x in members]
-            self.layer_w[key] = max(r.x_hi for r in xs) - min(r.x for r in xs) + 1
-            self.layer_h[key] = max(r.y_hi for r in xs) - min(r.y for r in xs) + 1
-
+        self.layer_sizes = self.placement.layer_sizes
         self.region_w = {r: box.w for r, box in self.placement.region_boxes.items()}
         self.region_h = {r: box.h for r, box in self.placement.region_boxes.items()}
 
+        # The base recurrence in rs order.  Step i is (region, conf, exec,
+        # end of the region's previous step or 0.0); _ends[i] is its layer
+        # end, _ports[i] and _spans[i] the port and makespan before it (the
+        # last entries: after every step), and _region_steps lists each
+        # region's step indices.
+        conf_of, exec_of = g.conf_times, g.exec_times
         self.conf_sum: dict = {}
         self.exec_max: dict = {}
-        for key, members in pst.layer_members.items():
+        self._steps, self._ends, self._ports, self._spans = [], [], [], []
+        self._region_steps: dict = {}
+        port = makespan = 0.0
+        for i, key in enumerate(pst.rs):
+            members = pst.layer_members[key]
             conf = 0.0  # left to right, as schedule sums
             for x in members:
-                conf += g.module(x).conf_time or 0.0
+                conf += conf_of[x] or 0.0
             self.conf_sum[key] = conf
-            self.exec_max[key] = max(g.module(x).exec_time for x in members)
-        mod = g.module(moved)
-        self.moved_conf = mod.conf_time or 0.0
-        self.moved_exec = mod.exec_time
-
-        # Recurrence steps (region, conf, exec) in rs order, and the state
-        # (port, region ends, makespan) before each of them and after all.
-        self._steps = [(key[0], self.conf_sum[key], self.exec_max[key])
-                       for key in pst.rs]
-        self._prefix = []
-        state = (0.0, {}, 0.0)
-        for step in self._steps:
-            self._prefix.append((state[0], dict(state[1]), state[2]))
-            state = _recurrence(*state, (step,))
-        self._prefix.append(state)
+            emax = self.exec_max[key] = max(exec_of[x] for x in members)
+            mine = self._region_steps.setdefault(key[0], [])
+            start = self._ends[mine[-1]] if mine else 0.0
+            mine.append(i)
+            self._steps.append((key[0], conf, emax, start))
+            self._ports.append(port)
+            self._spans.append(makespan)
+            if port > start:
+                start = port
+            port = start + conf
+            end = port + emax
+            self._ends.append(end)
+            if end > makespan:
+                makespan = end
+        self._ports.append(port)
+        self._spans.append(makespan)
+        self.moved_conf = conf_of[moved] or 0.0
+        self.moved_exec = exec_of[moved]
 
         self._extent_cache: dict = {}  # region -> (A_x, B_x, A_y, B_y)
         self._shape_list = None
@@ -297,15 +346,39 @@ class RoughEvaluator:
             coeffs = self._extent_cache[r] = (ax, x - ax, ay, y - ay)
         return coeffs
 
+    def _own_step(self, key, t):
+        """(port, layer end) after the candidate's step: layer key grown or
+        inserted at rs slot t, from the base state before t."""
+        mine = self._region_steps.get(key[0], ())
+        j = bisect_left(mine, t)
+        start = self._ends[mine[j - 1]] if j else 0.0
+        port = self._ports[t]
+        if port > start:
+            start = port
+        port = start + (self.conf_sum.get(key, 0.0) + self.moved_conf)
+        return port, port + max(self.exec_max.get(key, 0.0), self.moved_exec)
+
     def _sched_estimate(self, cand: Candidate) -> float:
         """Makespan estimate with the candidate's layer grown or inserted:
-        its step at rs slot t replaces the layer's own, or precedes it."""
+        its step at rs slot t replaces the layer's own, or precedes it.
+
+        The later steps are replayed; a region none of them has reached
+        yet still ends where the base left it before t."""
         key, t = cand.layer, cand.rs_pos
-        step = (key[0], self.conf_sum.get(key, 0.0) + self.moved_conf,
-                max(self.exec_max.get(key, 0.0), self.moved_exec))
-        rest = self._steps[t + (key in self.conf_sum):]
-        port, region_end, makespan = self._prefix[t]
-        return _recurrence(port, dict(region_end), makespan, [step, *rest])[2]
+        port, end = self._own_step(key, t)
+        makespan = self._spans[t]
+        if end > makespan:
+            makespan = end
+        ends = {key[0]: end}
+        for region, conf, emax, prev in self._steps[t + (key in self.conf_sum):]:
+            start = ends.get(region, prev)
+            if port > start:
+                start = port
+            port = start + conf
+            end = ends[region] = port + emax
+            if end > makespan:
+                makespan = end
+        return makespan
 
     def _extents_of(self, cand: Candidate, shapes) -> list:
         """Estimated design extents (x, y) of the candidate with each shape.
@@ -321,8 +394,7 @@ class RoughEvaluator:
                 return [(xb + s.w, yb if yb > s.h else s.h) for s in shapes]
             return [(xb if xb > s.w else s.w, yb + s.h) for s in shapes]
         region = cand.layer[0]
-        lw = self.layer_w.get(cand.layer, 0)
-        lh = self.layer_h.get(cand.layer, 0)
+        lw, lh = self.layer_sizes.get(cand.layer, (0, 0))
         rw, rh = self.region_w[region], self.region_h[region]
         ax, bx, ay, by = self._region_coeffs(region)
         out = []
@@ -348,14 +420,9 @@ class RoughEvaluator:
                 best, best_area = shape, area
         return best, self.w.alpha * best_area / self.w.area_norm
 
-    def evaluate(self, cand: Candidate, shape_list: ShapeList):
-        """Choose the best shape for this candidate and score it.
-
-        The shape minimizes the estimated whole-design area (ties: smaller
-        shape area); the score adds the schedule estimate with the cost
-        weights, both normalized.  Both parts come from the candidate's
-        classes, computed on first use.
-        """
+    def _fit(self, cand: Candidate, shape_list: ShapeList):
+        """The best shape of the candidate's target and its area term,
+        computed on first use."""
         if shape_list is not self._shape_list:
             self._shape_list = shape_list
             self._fits = {}
@@ -366,6 +433,17 @@ class RoughEvaluator:
         fit = self._fits.get(target)
         if fit is None:
             fit = self._fits[target] = self._best_shape(cand, shape_list)
+        return fit
+
+    def evaluate(self, cand: Candidate, shape_list: ShapeList):
+        """Choose the best shape for this candidate and score it.
+
+        The shape minimizes the estimated whole-design area (ties: smaller
+        shape area); the score adds the schedule estimate with the cost
+        weights, both normalized.  Both parts come from the candidate's
+        classes, computed on first use.
+        """
+        fit = self._fit(cand, shape_list)
         when = (cand.layer, cand.rs_pos)
         sched = self._sched_terms.get(when)
         if sched is None:
@@ -373,25 +451,42 @@ class RoughEvaluator:
                 self.w.beta * self._sched_estimate(cand) / self.w.schedule_norm)
         return fit[0], fit[1] + sched
 
+    def best(self, cands, shape_list: ShapeList, k: int) -> list:
+        """The k candidates with the least scores, in (score, position)
+        order: the first k of a stable sort by evaluate's score.  Each of
+        them gets its shape and score.
 
-def _recurrence(port, region_end, makespan, steps):
-    """Layer-granularity configuration recurrence over (region, conf, exec)
-    steps.
-
-    Each layer's configuration waits for the port and for the previous
-    layer of its region; region_end is updated in place.  Returns the
-    state after the last step.
-    """
-    for region, conf, emax in steps:
-        start = region_end.get(region, 0.0)
-        if port > start:
-            start = port
-        port = start + conf
-        layer_end = port + emax
-        region_end[region] = layer_end
-        if layer_end > makespan:
-            makespan = layer_end
-    return port, region_end, makespan
+        A candidate's score is at least its area term plus the schedule
+        term of max(base makespan, end of its own step): a grown or
+        inserted step can only delay every later layer end, as conf_time
+        >= 0, exec_time > 0, beta >= 0 and IEEE addition, max and division
+        are monotone.  Candidates are scored in (bound, position) order
+        until a bound passes the k-th best (score, position) so far; no
+        candidate left can then enter the top k (the threshold rule of
+        Fagin, Lotem and Naor, PODS 2001).
+        """
+        w, base = self.w, self._spans[-1]
+        bounds = []
+        by_class: dict = {}  # (layer, rs_pos, side) fixes target and bound
+        for i, cand in enumerate(cands):
+            cls = (cand.layer, cand.rs_pos, cand.ps_pos == cand.qs_pos)
+            bound = by_class.get(cls)
+            if bound is None:
+                end = self._own_step(cand.layer, cand.rs_pos)[1]
+                bound = by_class[cls] = (
+                    self._fit(cand, shape_list)[1]
+                    + w.beta * (end if end > base else base) / w.schedule_norm)
+            bounds.append((bound, i))
+        bounds.sort()
+        top = []  # (score, position), ascending
+        for bound, i in bounds:
+            if len(top) == k and (bound, i) > top[-1]:
+                break
+            cand = cands[i]
+            cand.shape, cand.score = self.evaluate(cand, shape_list)
+            insort(top, (cand.score, i))
+            del top[k:]
+        return [cands[i] for _, i in top]
 
 
 def accurate_evaluate(pst_without: PST, m: str, cands: list, shapes: dict,
@@ -467,14 +562,13 @@ class _Chain:
         the packing of the PST without it, the move's base."""
         m = self.rng.choice(self.ids)
         without = self.pst.without(m)
-        cands = enumerate_insertions(without, m, self.g)
-        if len(cands) > MAX_CANDIDATES:
-            cands = self.rng.sample(cands, MAX_CANDIDATES)
+        points = enumerate_insertions(without, m, self.g)
+        n = len(points)
+        cands = ([points[i] for i in self.rng.sample(range(n), MAX_CANDIDATES)]
+                 if n > MAX_CANDIDATES else list(points))
         rough = RoughEvaluator(without, self.shapes, self.g, self.w, m)
-        for cand in cands:
-            cand.shape, cand.score = rough.evaluate(cand, self.lists[m])
-        cands.sort(key=lambda c: c.score)
-        return m, without, cands[:ROUGH_KEEP_K], rough.placement
+        top = rough.best(cands, self.lists[m], ROUGH_KEEP_K)
+        return m, without, top, rough.placement
 
     def initial_temperature(self):
         if self.cfg.initial_temperature is not None:
@@ -533,7 +627,7 @@ def anneal(g: TaskGraph, shape_lists: dict, chip: ChipModel,
     floorplan, the lowest-cost (least violating) solution is returned with
     feasible=False, ready for post-optimization.  The chain starts from
     initial_solution, which always fits the chip, so today the result is
-    always feasible (CHANGES.md FOUND on run_pipeline, ROADMAP item 3c).
+    always feasible (CHANGES.md FOUND on run_pipeline, ROADMAP item 5).
     """
     if g.has_unresolved_conf():
         raise ValueError("anneal needs resolved configuration times; "

@@ -135,10 +135,10 @@ class _Search:
         # _critical_modules and _pick_branch follow.  The kept edges stay
         # in pairs order, so nodes, branching and results are those of the
         # full relations.  The per-module minima are inherited the same
-        # exact way: a child narrows only the branched module to one
-        # shape, and _can_improve's filter recomputes only the modules it
-        # took shapes from, so each entry is the least size over that
-        # module's remaining shapes.
+        # exact way, least areas too: a child narrows only the branched
+        # module to one shape, and _can_improve's filter recomputes only
+        # the modules it took shapes from, so each entry is the least size
+        # over that module's remaining shapes.
         # Longest paths are evaluated in dependency order.  Model order is
         # ps order: in a horizontal pair (a, b), a comes first in ps; in a
         # vertical one the lower module a comes later (Murata et al.).  So
@@ -172,10 +172,13 @@ class _Search:
         return preds, succs
 
     def _minima(self, shapes):
-        """(least width, least height) of each module over its shapes."""
+        """(least width, least height, least area) of each module over its
+        shapes."""
         wmin = [min(d[j][0] for j in s) for d, s in zip(self.dims, shapes)]
         hmin = [min(d[j][1] for j in s) for d, s in zip(self.dims, shapes)]
-        return wmin, hmin
+        amin = [min(d[j][0] * d[j][1] for j in s)
+                for d, s in zip(self.dims, shapes)]
+        return wmin, hmin, amin
 
     def _longest(self, order, preds, size):
         """Longest path into each module over the given relation lists.
@@ -222,14 +225,10 @@ class _Search:
                     cur = p
                     break
 
-    def _area_lb(self, allowed):
-        return sum(min(w * h for w, h in (self.dims[i][j] for j in allowed[i]))
-                   for i in range(self.n))
-
-    def _can_improve(self, allowed, paths):
+    def _can_improve(self, allowed, paths, amin):
         """The (objective, -area) bound of allowed's completions when it
         beats the incumbent's key, else None; paths is _paths of allowed's
-        minima.
+        minima, and amin its least shape areas.
 
         A completion beating an incumbent of objective obj has
         X + Y <= S = W + H - obj, so X <= min(W, S - Y_lb) and
@@ -276,12 +275,13 @@ class _Search:
             if not dropped:
                 break
             shapes = kept_all
-            wmin, hmin = wmin[:], hmin[:]
+            wmin, hmin, amin = wmin[:], hmin[:], amin[:]
             for i in dropped:
                 wmin[i] = min(dims[i][j][0] for j in shapes[i])
                 hmin[i] = min(dims[i][j][1] for j in shapes[i])
+                amin[i] = min(dims[i][j][0] * dims[i][j][1] for j in shapes[i])
             paths = self._paths(wmin, hmin)
-        key = ((width - xext) + (height - yext), -self._area_lb(shapes))
+        key = ((width - xext) + (height - yext), -sum(amin))
         return key if best is None or key > best else None
 
     def run(self) -> SolveResult:
@@ -298,7 +298,8 @@ class _Search:
                     for i in range(self.n)]
         for choice in (min_area, balanced):
             leaf = [[j] for j in choice]
-            key = self._can_improve(leaf, self._paths(*self._minima(leaf)))
+            wmin, hmin, amin = self._minima(leaf)
+            key = self._can_improve(leaf, self._paths(wmin, hmin), amin)
             if key is not None:
                 self.best_key, self.best_choice = key, choice
         root = [list(range(len(dims[i]))) for i in range(self.n)]
@@ -320,16 +321,16 @@ class _Search:
                            objective=objective, nodes=self.nodes,
                            wall_time=wall)
 
-    def dfs(self, allowed, wmin, hmin):
-        """Search below the node allowed, whose per-module least widths
-        and heights are wmin and hmin; a child copies them and sets the
-        branched module's entries from its one shape."""
+    def dfs(self, allowed, wmin, hmin, amin):
+        """Search below the node allowed, whose per-module least widths,
+        heights and areas are wmin, hmin and amin; a child copies them and
+        sets the branched module's entries from its one shape."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             self.timed_out = True
             return
         self.nodes += 1
         paths = self._paths(wmin, hmin)
-        key = self._can_improve(allowed, paths)
+        key = self._can_improve(allowed, paths, amin)
         if key is None:
             return
         if all(len(a) == 1 for a in allowed):
@@ -342,9 +343,10 @@ class _Search:
         for j in shape_order:
             saved = allowed[branch]
             allowed[branch] = [j]
-            child_w, child_h = wmin[:], hmin[:]
-            child_w[branch], child_h[branch] = self.dims[branch][j]
-            self.dfs(allowed, child_w, child_h)
+            child_w, child_h, child_a = wmin[:], hmin[:], amin[:]
+            w, h = child_w[branch], child_h[branch] = self.dims[branch][j]
+            child_a[branch] = w * h
+            self.dfs(allowed, child_w, child_h, child_a)
             allowed[branch] = saved
             if self.timed_out:
                 return

@@ -27,7 +27,7 @@ costs_of with pack, schedule and evaluate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .chip import ChipModel, Rect
@@ -153,12 +153,14 @@ def validate(pst: PST, g: TaskGraph) -> list:
 
 @dataclass(frozen=True)
 class Placement:
-    """Module and region rectangles plus the occupied extents."""
+    """Module and region rectangles plus the occupied extents; pack also
+    keeps each layer's packed (width, height)."""
 
     coords: dict  # module id -> Rect
     region_boxes: dict  # region id -> Rect
     x_max: int
     y_max: int
+    layer_sizes: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def block_spans(keys) -> dict:
@@ -274,8 +276,10 @@ def pack(pst: PST, shapes: dict) -> Placement:
     local_y: dict = {}
     region_w: dict = {}
     region_h: dict = {}
+    layer_sizes: dict = {}
     for key, mods in pst.layer_members.items():
-        lw, lh = pack_layer(mods, by_q[key], shapes, local_x, local_y)
+        lw, lh = layer_sizes[key] = pack_layer(mods, by_q[key], shapes,
+                                               local_x, local_y)
         region = key[0]
         if lw > region_w.get(region, 0):
             region_w[region] = lw
@@ -295,7 +299,7 @@ def pack(pst: PST, shapes: dict) -> Placement:
     x_max = max((off_x[r] + region_w[r] for r in off_x), default=0)
     y_max = max((off_y[r] + region_h[r] for r in off_x), default=0)
     return Placement(coords=coords, region_boxes=region_boxes,
-                     x_max=x_max, y_max=y_max)
+                     x_max=x_max, y_max=y_max, layer_sizes=layer_sizes)
 
 
 def is_feasible(p: Placement, chip: ChipModel) -> bool:
@@ -360,11 +364,11 @@ def run_layers(layers, g: TaskGraph, placed, port: float, region_end: dict,
     included.
     """
     config_start, config_end, exec_start = starts
-    preds = g.predecessors
+    preds, conf_of, exec_of = g.predecessors, g.conf_times, g.exec_times
     for key, mods, in_order in layers:
         conf_sum = 0.0
         for m in mods:
-            conf = g.module(m).conf_time
+            conf = conf_of[m]
             if conf is None:
                 raise ValueError(f"schedule: module {m} has unresolved conf time")
             conf_sum += conf
@@ -382,7 +386,7 @@ def run_layers(layers, g: TaskGraph, placed, port: float, region_end: dict,
                 if p in placed and exec_end[p] > start_t:
                     start_t = exec_end[p]
             exec_start[m] = start_t
-            end = exec_end[m] = start_t + g.module(m).exec_time
+            end = exec_end[m] = start_t + exec_of[m]
             if end > layer_end:
                 layer_end = end
         region_end[region] = layer_end
@@ -487,10 +491,8 @@ def hetero_of(boxes, chip: ChipModel) -> float:
     no region uses contributes HETERO_SENTINEL instead of a division by
     zero.
     """
-    used = _tiles(boxes, chip)
-    have = _tiles([(1, 1, chip.width, chip.height)], chip)
     total = 0.0
-    for have_k, use_k in zip(have, used):
+    for have_k, use_k in zip(chip.capacity().as_tuple(), _tiles(boxes, chip)):
         total += have_k / use_k if use_k > 0 else HETERO_SENTINEL
     return total
 

@@ -92,22 +92,36 @@ def min_height_for_width(module: TaskModule, chip: ChipModel, w: int):
     """
     if not 1 <= w <= chip.width:
         raise ValueError(f"width {w} outside [1, {chip.width}]")
-    mc, mb, md = chip.min_column_counts(w)
-    d = module.demand
-    h = chip.quantum
-    if d.clb:
-        if mc == 0:
-            return None
-        h = max(h, _ceil_div(d.clb, mc))
+    return _height_rule(module.demand, chip)(chip.min_column_counts(w))
+
+
+def _height_rule(d, chip: ChipModel):
+    """min_height_for_width of demand d as a function of a width's
+    worst-case column counts (CLB, BRAM, DSP); ceilings are -(-a // b)."""
+    q, height, macro_rows = chip.quantum, chip.height, chip.macro_rows_per_col
+    clb = d.clb
     # A macro column provides macro_rows/height tiles per row.
-    for need, cols in ((d.bram, mb), (d.dsp, md)):
-        if need:
+    macro = [(kind, need) for kind, need in ((1, d.bram), (2, d.dsp)) if need]
+
+    def min_height(counts):
+        h = q
+        if clb:
+            if counts[0] == 0:
+                return None
+            rows = -(-clb // counts[0])
+            if rows > h:
+                h = rows
+        for kind, need in macro:
+            cols = counts[kind]
             if cols == 0:
                 return None
-            tiles = _ceil_div(need, cols)
-            h = max(h, _ceil_div(tiles * chip.height, chip.macro_rows_per_col))
-    h = _ceil_div(h, chip.quantum) * chip.quantum
-    return h if h <= chip.height else None
+            rows = -(-(-(-need // cols) * height) // macro_rows)
+            if rows > h:
+                h = rows
+        h = -(-h // q) * q
+        return h if h <= height else None
+
+    return min_height
 
 
 def aspect_ratio(shape: Shape, chip: ChipModel) -> float:
@@ -116,8 +130,12 @@ def aspect_ratio(shape: Shape, chip: ChipModel) -> float:
     Rows and columns are not physically square; heights are rescaled by
     width/height so the ratio reflects physical proportions.
     """
-    hn = shape.h * chip.width / chip.height
-    return max(shape.w, hn) / min(shape.w, hn)
+    return _ratio(shape.w, shape.h, chip)
+
+
+def _ratio(w: int, h: int, chip: ChipModel) -> float:
+    hn = h * chip.width / chip.height
+    return w / hn if w > hn else hn / w
 
 
 def generate(module: TaskModule, chip: ChipModel,
@@ -132,26 +150,26 @@ def generate(module: TaskModule, chip: ChipModel,
     bounds: exploration anchors on it, and it keeps the list's best area
     no worse than any fixed-width strategy.
     """
-    w0 = initial_width(module, chip)
+    min_height = _height_rule(module.demand, chip)
     kept = []
     seen_heights = set()
-    best_any = None  # minimum-area feasible shape ignoring the ratio filter
-    for w in range(w0, chip.width + 1):
-        h = min_height_for_width(module, chip, w)
+    best = None  # (w, h) of the minimum-area feasible shape, ratio ignored
+    best_area = 0
+    for w in range(initial_width(module, chip), chip.width + 1):
+        h = min_height(chip.min_column_counts(w))
         if h is None:
             continue
-        shape = Shape(w, h)
-        if best_any is None or (shape.area, shape.w) < (best_any.area, best_any.w):
-            best_any = shape
-        if h in seen_heights:
-            continue
-        if aspect_ratio(shape, chip) <= cfg.gamma_ar:
-            kept.append(shape)
+        # Widths ascend, so an equal area never replaces the narrower shape.
+        if best is None or w * h < best_area:
+            best, best_area = (w, h), w * h
+        if h not in seen_heights and _ratio(w, h, chip) <= cfg.gamma_ar:
+            kept.append(Shape(w, h))
             seen_heights.add(h)
-    if best_any is None:
+    if best is None:
         raise InfeasibleModuleError(
             f"module {module.id}: no rectangle satisfies demand "
             f"{module.demand.as_tuple()} at every position")
+    best_any = Shape(*best)
     if best_any not in kept:
         kept = [s for s in kept if s.h != best_any.h]
         kept.append(best_any)

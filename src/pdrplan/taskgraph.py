@@ -132,6 +132,16 @@ class TaskGraph:
             succ[e.src].append(e.dst)
         return succ
 
+    @cached_property
+    def exec_times(self) -> dict:
+        """Module id -> execution time."""
+        return {m.id: m.exec_time for m in self.modules}
+
+    @cached_property
+    def conf_times(self) -> dict:
+        """Module id -> configuration time, None while unresolved."""
+        return {m.id: m.conf_time for m in self.modules}
+
     def topological_order(self) -> tuple:
         """Kahn topological order, stable w.r.t. module declaration order."""
         return self._order

@@ -1,19 +1,25 @@
 """Shared builders and reference oracles for PST-level tests: small graphs,
 random valid PSTs, the exhaustive shape-reselection oracles, and plain
-reference versions of packing, scheduling, rough scoring and its extents,
-chip window counts and branch-and-bound pruning that the optimised code in src/ must
-agree with."""
+reference versions of packing, scheduling, insertion points, rough scoring
+and its extents, chip window counts, shape generation and branch-and-bound
+pruning that the optimised code in src/ must agree with."""
 
 import itertools
 import random
 
-from pdrplan.chip import Rect, ResourceVector
-from pdrplan.explore import apply_candidate
+from pdrplan.chip import ChipModel, Rect, ResourceVector
+from pdrplan.errors import InfeasibleModuleError
+from pdrplan.explore import Candidate, apply_candidate
 from pdrplan.ilp import _Search
 from pdrplan.pst import (PST, Placement, ScheduleResult, pack, region_offsets,
                          schedule)
-from pdrplan.shapes import Shape
+from pdrplan.shapes import (Shape, ShapeList, aspect_ratio, initial_width,
+                            min_height_for_width)
 from pdrplan.taskgraph import Edge, TaskGraph, TaskModule
+
+TOY_CHIP = ChipModel(width=40, height=60, bram_cols=frozenset({3, 17}),
+                     dsp_cols=frozenset({9, 25}), macro_rows_per_col=24,
+                     quantum=5)
 
 
 def make_graph(n, edges=(), exec_time=10.0, conf=1.0, demand=(10, 0, 0)):
@@ -186,12 +192,14 @@ class _ReferenceSearch(_Search):
                 preds[idx[b]].append(idx[a])
                 succs[idx[a]].append(idx[b])
 
-    def _can_improve(self, allowed, paths):
-        (xext, *_), (yext, *_) = self._paths(*self._minima(allowed))
+    def _can_improve(self, allowed, paths, amin):
+        wmin, hmin, _ = self._minima(allowed)
+        (xext, *_), (yext, *_) = self._paths(wmin, hmin)
         if xext > self.width or yext > self.height:
             return None
-        key = ((self.width - xext) + (self.height - yext),
-               -self._area_lb(allowed))
+        area_lb = sum(min(w * h for w, h in (self.dims[i][j] for j in a))
+                      for i, a in enumerate(allowed))
+        key = ((self.width - xext) + (self.height - yext), -area_lb)
         return key if self.best_key is None or key > self.best_key else None
 
 
@@ -429,3 +437,74 @@ def reference_schedule(pst, g):
     makespan = max(exec_end.values(), default=0.0)
     return ScheduleResult(config_start, config_end, exec_start, exec_end,
                           makespan)
+
+
+def eager_insertions(pst, m, g):
+    """Every insertion point of pdrplan.explore.enumerate_insertions as a
+    list built at once, in the same order: existing layers at every slot
+    pair, each region's fresh layer at every rs slot, then a fresh region
+    at each corner and rs slot."""
+    layer_ps, layer_qs = pst.layer_spans
+    region_ps, region_qs = pst.region_spans
+    rs_index = {key: i for i, key in enumerate(pst.rs)}
+    max_pred = max((rs_index[pst.partition[p]] for p in g.predecessors[m]
+                    if p in pst.partition), default=-1)
+    min_succ = min((rs_index[pst.partition[s]] for s in g.successors[m]
+                    if s in pst.partition), default=len(pst.rs))
+    cands = []
+    for key in pst.rs:
+        t = rs_index[key]
+        if not max_pred <= t <= min_succ:
+            continue
+        a, b = layer_ps[key]
+        c, d = layer_qs[key]
+        for i in range(a, b + 2):
+            for j in range(c, d + 2):
+                cands.append(Candidate(layer=key, ps_pos=i, qs_pos=j,
+                                       rs_pos=t, new_layer=False,
+                                       new_region=False))
+    rs_lo, rs_hi = max_pred + 1, min_succ
+    for region in sorted(region_ps):
+        key = (region, 1 + max(k[1] for k in pst.region_layers[region]))
+        i = region_ps[region][1] + 1
+        j = region_qs[region][1] + 1
+        for p in range(rs_lo, rs_hi + 1):
+            cands.append(Candidate(layer=key, ps_pos=i, qs_pos=j, rs_pos=p,
+                                   new_layer=True, new_region=False))
+    new_region = 1 + max(pst.region_layers, default=-1)
+    corners = sorted({(i, j) for i in (0, len(pst.ps))
+                      for j in (0, len(pst.qs))})
+    for i, j in corners:
+        for p in range(rs_lo, rs_hi + 1):
+            cands.append(Candidate(layer=(new_region, 0), ps_pos=i, qs_pos=j,
+                                   rs_pos=p, new_layer=True, new_region=True))
+    return cands
+
+
+def sweep_shapes(module, chip, cfg):
+    """The ShapeList of pdrplan.shapes.generate by the plain width sweep:
+    one min_height_for_width call, one Shape and one aspect_ratio per
+    width."""
+    kept = []
+    seen_heights = set()
+    best_any = None
+    for w in range(initial_width(module, chip), chip.width + 1):
+        h = min_height_for_width(module, chip, w)
+        if h is None:
+            continue
+        shape = Shape(w, h)
+        if best_any is None or (shape.area, shape.w) < (best_any.area,
+                                                        best_any.w):
+            best_any = shape
+        if h in seen_heights:
+            continue
+        if aspect_ratio(shape, chip) <= cfg.gamma_ar:
+            kept.append(shape)
+            seen_heights.add(h)
+    if best_any is None:
+        raise InfeasibleModuleError(f"module {module.id}: no rectangle")
+    if best_any not in kept:
+        kept = [s for s in kept if s.h != best_any.h]
+        kept.append(best_any)
+    kept.sort(key=lambda s: (s.area, s.w))
+    return ShapeList(module.id, tuple(kept[:cfg.n]))

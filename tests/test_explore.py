@@ -4,15 +4,16 @@ import time
 
 import pytest
 
-from helpers import exact_rough_evaluate, make_graph, single_layer_pst
+from helpers import (eager_insertions, exact_rough_evaluate, make_graph,
+                     single_layer_pst)
 from pdrplan import explore
 from pdrplan.chip import builtin_xc7vx485t
 from pdrplan.delta import MoveBase
-from pdrplan.explore import (PROBE_MOVES, RoughEvaluator, SAConfig,
-                             accept_move, accurate_evaluate, anneal,
-                             apply_candidate, enumerate_insertions,
-                             initial_solution)
-from pdrplan.pst import CostWeights, evaluate, pack, schedule, validate
+from pdrplan.explore import (MAX_CANDIDATES, PROBE_MOVES, ROUGH_KEEP_K,
+                             RoughEvaluator, SAConfig, accept_move,
+                             accurate_evaluate, anneal, apply_candidate,
+                             enumerate_insertions, initial_solution)
+from pdrplan.pst import PST, CostWeights, evaluate, pack, schedule, validate
 from pdrplan.report import prepare_instance
 from pdrplan.shapes import Shape, ShapeGenConfig, ShapeList, generate_all
 from pdrplan.taskgraph import (assign_conf_times, generate, preset_spec)
@@ -25,6 +26,32 @@ def chip():
 
 def lists_for(g, chip, n=6):
     return generate_all(g, chip, ShapeGenConfig(n=n))
+
+
+def walk_moves(chip, name, seed, moves):
+    """The moves of a random walk on a preset instance, each as (g, lists,
+    pst without the moved module, shapes, moved module, its sampled
+    candidates), sampled the way the annealer samples them.  The walk
+    applies a random candidate after each move, a fresh region now and
+    then, so states get several regions."""
+    g, lists = prepare_instance(generate(preset_spec(name, seed=0)),
+                                chip, ShapeGenConfig(), 0.001)
+    rng = random.Random(seed)
+    pst = initial_solution(g, lists, chip)
+    shapes = {m: lists[m].min_area_shape() for m in g.module_ids}
+    ids = list(g.module_ids)
+    for _ in range(moves):
+        m = rng.choice(ids)
+        without = pst.without(m)
+        points = enumerate_insertions(without, m, g)
+        n = len(points)
+        cands = ([points[i] for i in rng.sample(range(n), MAX_CANDIDATES)]
+                 if n > MAX_CANDIDATES else list(points))
+        yield g, lists, without, shapes, m, cands
+        fresh = [c for c in cands if c.new_region]
+        cand = rng.choice(fresh if fresh and rng.random() < 0.3 else cands)
+        pst = apply_candidate(without, m, cand)
+        shapes = {**shapes, m: rng.choice(lists[m].shapes)}
 
 
 def t10_instance(seed, chip):
@@ -109,6 +136,76 @@ class TestEnumerateInsertions:
             assert validate(applied, g) == []
         # m3 must go strictly between m1's and m2's layers or alongside them
         assert cands, "dependency window must not be empty"
+
+
+    def test_lazy_points_equal_eager_oracle(self, chip):
+        """The sequence has the oracle's length and points, field by field,
+        whether read by index, by slice or by iteration, and builds each
+        point once."""
+        g = make_graph(3, edges=[("m1", "m3", 1.0), ("m3", "m2", 1.0)])
+        two_layers = PST(ps=["m1", "m2"], qs=["m1", "m2"], rs=[(0, 0), (0, 1)],
+                         partition={"m1": (0, 0), "m2": (0, 1)})
+        moves = [(g, two_layers, "m3"), (g, PST((), (), (), {}), "m3")]
+        for name, seed in (("t10-1", 4), ("t30-1", 5)):
+            moves += [(g, without, m) for g, _, without, _, m, _
+                      in walk_moves(chip, name, seed, 15)]
+        rng = random.Random(6)
+        for g, without, m in moves:
+            lazy = enumerate_insertions(without, m, g)
+            eager = eager_insertions(without, m, g)
+            n = len(eager)
+            assert len(lazy) == n > 0
+            k = rng.randrange(n)
+            assert lazy[k] == eager[k]
+            assert lazy[k] is lazy[k] and lazy[k - n] is lazy[k]
+            assert lazy[k // 2:k + 3] == eager[k // 2:k + 3]
+            assert list(lazy) == eager
+            assert all(a is lazy[i] for i, a in enumerate(lazy))
+            for bad in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    lazy[bad]
+
+    @pytest.mark.parametrize("n", [MAX_CANDIDATES + 1, 1045, 1046, 5000])
+    def test_index_sampling_equals_list_sampling(self, n):
+        """random.sample draws from a pool list up to 1045 items at k = 96
+        and from a set of drawn indices above; either way, sampling the
+        indices picks what sampling the list picks and leaves the RNG in
+        the same state."""
+        items = [object() for _ in range(n)]
+        by_list, by_index = random.Random(n), random.Random(n)
+        want = by_list.sample(items, MAX_CANDIDATES)
+        got = [items[i] for i in by_index.sample(range(n), MAX_CANDIDATES)]
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))
+        assert by_index.getstate() == by_list.getstate()
+
+
+class TestBest:
+    @pytest.mark.parametrize("name, seed", [("t10-1", 1), ("t30-1", 2),
+                                            ("t50-1", 3)])
+    def test_best_equals_stable_sort_of_every_score(self, chip, name, seed):
+        """best(k) returns the first k candidates of a stable sort by
+        evaluate's score, with their shapes and scores, and scores fewer
+        candidates than there are on some moves."""
+        pruned = 0
+        for g, lists, without, shapes, m, cands in walk_moves(chip, name,
+                                                             seed, 20):
+            w = CostWeights().resolve(g, chip)
+            oracle = RoughEvaluator(without, shapes, g, w, m)
+            scored = [oracle.evaluate(c, lists[m]) for c in cands]
+            order = sorted(range(len(cands)), key=lambda i: scored[i][1])
+            for k in (1, ROUGH_KEEP_K, len(cands)):
+                ev = RoughEvaluator(without, shapes, g, w, m)
+                calls = []
+                ev.evaluate = lambda c, sl, f=ev.evaluate: (calls.append(c)
+                                                            or f(c, sl))
+                top = ev.best(cands, lists[m], k)
+                assert len(top) == min(k, len(cands))
+                assert all(c is cands[i] for c, i in zip(top, order))
+                assert [(c.shape, c.score) for c in top] == [
+                    scored[i] for i in order[:k]]
+                pruned += len(calls) < len(cands)
+        assert pruned
 
 
 class TestRoughEvaluate:

@@ -10,7 +10,7 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (_ReferenceSearch, layered_pst, make_graph,
+from helpers import (TOY_CHIP, _ReferenceSearch, layered_pst, make_graph,
                      module_level_pack, per_candidate_rough, random_pst,
                      reference_approx_extents, reference_schedule,
                      reference_solve, scan_min_column_counts)
@@ -114,11 +114,11 @@ def test_layered_pack_equals_module_level_pack(n, regions, layers, seed):
     assert got == want
     assert list(got.coords) == list(want.coords)
     assert list(got.region_boxes) == list(want.region_boxes)
-
-
-TOY_CHIP = ChipModel(width=40, height=60, bram_cols=frozenset({3, 17}),
-                     dsp_cols=frozenset({9, 25}), macro_rows_per_col=24,
-                     quantum=5)
+    for key, members in pst.layer_members.items():
+        rects = [want.coords[m] for m in members]
+        assert got.layer_sizes[key] == (
+            max(r.x_hi for r in rects) - min(r.x for r in rects) + 1,
+            max(r.y_hi for r in rects) - min(r.y for r in rects) + 1)
 
 
 @FAST

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import TOY_CHIP, sweep_shapes
 from pdrplan.chip import ChipModel, Rect, ResourceVector, builtin_xc7vx485t
 from pdrplan.errors import InfeasibleModuleError
 from pdrplan.shapes import (Shape, ShapeGenConfig, ShapeList, aspect_ratio,
@@ -162,6 +163,30 @@ class TestGenerate:
     def test_impossible_demand_raises(self, chip):
         with pytest.raises(InfeasibleModuleError):
             generate(module(clb=50000), chip)
+
+
+    @pytest.mark.parametrize("toy", [False, True])
+    def test_equals_plain_width_sweep(self, chip, toy):
+        """The same list, or the same error, as one min_height_for_width
+        call, Shape and aspect_ratio per width, over random demands, list
+        lengths and ratio bounds."""
+        chip = TOY_CHIP if toy else chip
+        cap = chip.capacity()
+        rng = random.Random(12 + toy)
+        for _ in range(300):
+            mod = module(clb=rng.randint(0, cap.clb // 8),
+                         bram=rng.choice([0, rng.randint(0, cap.bram // 8)]),
+                         dsp=rng.choice([0, rng.randint(0, cap.dsp // 8)]))
+            cfg = ShapeGenConfig(n=rng.randint(1, 12),
+                                 gamma_ar=rng.choice([1.0, 1.5, 2.5,
+                                                      rng.uniform(1, 8)]))
+            try:
+                want = sweep_shapes(mod, chip, cfg)
+            except InfeasibleModuleError:
+                with pytest.raises(InfeasibleModuleError):
+                    generate(mod, chip, cfg)
+                continue
+            assert generate(mod, chip, cfg) == want
 
 
 class TestShapeMinimality:
