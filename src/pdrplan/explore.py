@@ -2,18 +2,21 @@
 
 Each move deletes one module and reinserts it somewhere else: into an
 existing layer, into a fresh layer of an existing region, or into a fresh
-region.  The move packs the PST without the module once; that packing is
-the base of both stages.  A sample of the insertion points, built only
-when sampled, is first ranked by a cheap rough score (area and schedule
-estimates; the moved module's shape is reselected from its candidate list
-at the same time), then the best few are costed exactly from the base and
-one schedule of it (delta.MoveBase), and the winner goes through the
-usual Metropolis acceptance test.  Rough estimates are computed once per
-class of insertion points that share them (the same target layer or
-region side, the same configuration slot) rather than once per point,
-and only for points whose lower bound can still reach the best few.  A
-fresh layer is scored as an empty layer, and a region as its largest
-layer.
+region.  The chain keeps its current plan packed and scheduled
+(delta.PlanState).  A move derives its base, the plan without the module,
+from that state: it repacks only the module's layer and replays the
+schedule only from that layer's configuration slot.  A sample of the
+insertion points, built only when sampled, is first ranked by a cheap
+rough score read from the base (area and schedule estimates; the moved
+module's shape is reselected from its candidate list at the same time).
+The best few are then costed exactly from the base (delta.MoveBase), and
+the winner goes through the usual Metropolis acceptance test; an accepted
+winner's costing becomes the chain's next state.  Rough estimates are
+computed once per class of insertion points that share them (the same
+target layer or region side, the same configuration slot) rather than
+once per point, and only for points whose lower bound can still reach
+the best few.  A fresh layer is scored as an empty layer, and a region as
+its largest layer.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from itertools import accumulate
 
 from .chip import ChipModel
 from .errors import InfeasibleModuleError
-from .delta import MoveBase
-from .pst import CostWeights, PST, evaluate, pack, region_offsets, schedule
+from .delta import MoveBase, PlanState
+from .pst import (CostWeights, PST, cost_from_parts, evaluate, pack,
+                  region_offsets, schedule)
 from .shapes import Shape, ShapeList
 from .taskgraph import TaskGraph
 
@@ -75,6 +79,10 @@ class SAConfig:
             raise ValueError("iterations_per_temperature must be >= 1")
         if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError("time_limit must be >= 0")
+        for name in ("initial_temperature", "min_temperature"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass
@@ -260,8 +268,9 @@ class RoughEvaluator:
     a grown layer covers the layer it grew from, so the resized region is
     max(region size, grown layer size); no other layer's size is needed.
 
-    The placement, pack of the PST without the moved module, is the
-    move's base: accurate_evaluate costs the survivors exactly from it.
+    The sizes, boxes, configuration sums and largest execution times come
+    from the move's base (delta.PlanState of the PST without the moved
+    module), from which accurate_evaluate costs the survivors exactly.
 
     Each estimate depends on a few fields of a candidate only, so it is
     computed once per class of candidates and shared by the class.  The
@@ -274,38 +283,27 @@ class RoughEvaluator:
     candidates and scores only those a bound cannot rule out.
     """
 
-    def __init__(self, pst: PST, shapes: dict, g: TaskGraph,
-                 weights: CostWeights, moved: str):
-        self.pst = pst
-        self.shapes = shapes
-        self.g = g
-        self.w = weights
+    def __init__(self, base: PlanState, moved: str):
+        self.pst = pst = base.pst
+        self.shapes = base.shapes
+        self.g = g = base.g
+        self.w = base.w
         self.moved = moved
-        self.placement = pack(pst, shapes)
-        self.x_base = self.placement.x_max
-        self.y_base = self.placement.y_max
-        self.layer_sizes = self.placement.layer_sizes
-        self.region_w = {r: box.w for r, box in self.placement.region_boxes.items()}
-        self.region_h = {r: box.h for r, box in self.placement.region_boxes.items()}
+        self.x_base, self.y_base = base.x_max, base.y_max
+        self.layer_sizes = base.sizes
+        self.region_w, self.region_h = base.width, base.height
+        self.conf_sum, self.exec_max = base.conf_sum, base.exec_max
 
         # The base recurrence in rs order.  Step i is (region, conf, exec,
         # end of the region's previous step or 0.0); _ends[i] is its layer
         # end, _ports[i] and _spans[i] the port and makespan before it (the
         # last entries: after every step), and _region_steps lists each
         # region's step indices.
-        conf_of, exec_of = g.conf_times, g.exec_times
-        self.conf_sum: dict = {}
-        self.exec_max: dict = {}
         self._steps, self._ends, self._ports, self._spans = [], [], [], []
         self._region_steps: dict = {}
         port = makespan = 0.0
         for i, key in enumerate(pst.rs):
-            members = pst.layer_members[key]
-            conf = 0.0  # left to right, as schedule sums
-            for x in members:
-                conf += conf_of[x] or 0.0
-            self.conf_sum[key] = conf
-            emax = self.exec_max[key] = max(exec_of[x] for x in members)
+            conf, emax = self.conf_sum[key], self.exec_max[key]
             mine = self._region_steps.setdefault(key[0], [])
             start = self._ends[mine[-1]] if mine else 0.0
             mine.append(i)
@@ -321,8 +319,8 @@ class RoughEvaluator:
                 makespan = end
         self._ports.append(port)
         self._spans.append(makespan)
-        self.moved_conf = conf_of[moved] or 0.0
-        self.moved_exec = exec_of[moved]
+        self.moved_conf = g.conf_times[moved] or 0.0
+        self.moved_exec = g.exec_times[moved]
 
         self._extent_cache: dict = {}  # region -> (A_x, B_x, A_y, B_y)
         self._shape_list = None
@@ -489,32 +487,28 @@ class RoughEvaluator:
         return [cands[i] for _, i in top]
 
 
-def accurate_evaluate(pst_without: PST, m: str, cands: list, shapes: dict,
-                      g: TaskGraph, chip: ChipModel, weights: CostWeights,
-                      placement=None):
+def accurate_evaluate(base: PlanState, m: str, cands: list):
     """Exact cost of each candidate from the move's base; the argmin.
 
-    The base is pst_without packed (placement, when the caller has packed
-    it already, as the rough evaluator has) and scheduled once; see
-    delta.MoveBase.  Each cost equals evaluate's on the applied candidate.
-    Only the winner, the first of the cheapest, is applied.  Returns
-    (pst, shapes, cost, candidate) of the winner.
+    base is the move's PlanState without module m; see delta.MoveBase.
+    Each cost equals evaluate's on the applied candidate.  Only the
+    winner, the first of the cheapest, is applied.  Returns (pst, shapes,
+    cost, candidate, trial) of the winner; trial.state(pst, shapes) is its
+    PlanState.
     """
     if not cands:
         raise ValueError("accurate_evaluate needs at least one candidate")
-    if placement is None:
-        placement = pack(pst_without, shapes)
-    base = MoveBase(pst_without, m, shapes, g, chip, weights.resolve(g, chip),
-                    placement, schedule(pst_without, g))
+    move = MoveBase(base, m)
     best = None
     for cand in cands:
-        cost = base.costs(cand)
-        if best is None or cost.total < best[0].total:
-            best = (cost, cand)
-    cost, cand = best
-    new_shapes = dict(shapes)
+        trial = move.costs(cand)
+        if best is None or trial.cost.total < best.cost.total:
+            best = trial
+    cand = best.cand
+    new_shapes = dict(base.shapes)
     new_shapes[m] = cand.shape
-    return apply_candidate(pst_without, m, cand), new_shapes, cost, cand
+    return (apply_candidate(base.pst, m, cand), new_shapes, best.cost, cand,
+            best)
 
 
 def accept_move(delta: float, temperature: float, rng: random.Random) -> bool:
@@ -535,16 +529,17 @@ class _Chain:
     def __init__(self, g, shape_lists, chip, cfg, weights, deadline):
         self.g = g
         self.lists = shape_lists
-        self.chip = chip
         self.cfg = cfg
-        self.w = weights
         self.rng = random.Random(cfg.seed)
         self.deadline = deadline
         self.ids = list(g.module_ids)
-        self.pst = initial_solution(g, shape_lists, chip)
-        self.shapes = {m: shape_lists[m].min_area_shape() for m in self.ids}
-        self.cost = evaluate(self.pst, self.shapes, g, chip, weights).costs
-        self.best = (self.pst, self.shapes, self.cost)
+        pst = initial_solution(g, shape_lists, chip)
+        shapes = {m: shape_lists[m].min_area_shape() for m in self.ids}
+        placement, timeline = pack(pst, shapes), schedule(pst, g)
+        self.state = PlanState(pst, shapes, g, chip, weights, placement,
+                               timeline)
+        self.cost = cost_from_parts(placement, timeline, g, chip, weights)
+        self.best = (pst, shapes, self.cost)
         self.best_feasible = self.best if self.cost.feasible else None
 
     def _past_deadline(self):
@@ -559,16 +554,15 @@ class _Chain:
 
     def _random_move(self):
         """Delete a random module and pick rough-ranked reinsertions; also
-        the packing of the PST without it, the move's base."""
+        the move's base, the state without the module."""
         m = self.rng.choice(self.ids)
-        without = self.pst.without(m)
-        points = enumerate_insertions(without, m, self.g)
+        base = self.state.without(m)
+        points = enumerate_insertions(base.pst, m, self.g)
         n = len(points)
         cands = ([points[i] for i in self.rng.sample(range(n), MAX_CANDIDATES)]
                  if n > MAX_CANDIDATES else list(points))
-        rough = RoughEvaluator(without, self.shapes, self.g, self.w, m)
-        top = rough.best(cands, self.lists[m], ROUGH_KEEP_K)
-        return m, without, top, rough.placement
+        top = RoughEvaluator(base, m).best(cands, self.lists[m], ROUGH_KEEP_K)
+        return m, base, top
 
     def initial_temperature(self):
         if self.cfg.initial_temperature is not None:
@@ -577,11 +571,8 @@ class _Chain:
         for _ in range(PROBE_MOVES):
             if self._past_deadline():
                 break
-            m, without, top, placement = self._random_move()
-            cand = self.rng.choice(top)
-            _, _, cost, _ = accurate_evaluate(without, m, [cand], self.shapes,
-                                              self.g, self.chip, self.w,
-                                              placement)
+            m, base, top = self._random_move()
+            cost = accurate_evaluate(base, m, [self.rng.choice(top)])[2]
             d = abs(cost.total - self.cost.total)
             if d > 1e-12:
                 deltas.append(d)
@@ -604,13 +595,13 @@ class _Chain:
             for _ in range(iters):
                 if self._past_deadline():
                     return trace
-                m, without, top, placement = self._random_move()
-                new_pst, new_shapes, cost, _ = accurate_evaluate(
-                    without, m, top, self.shapes, self.g, self.chip, self.w,
-                    placement)
+                m, base, top = self._random_move()
+                new_pst, new_shapes, cost, _, trial = accurate_evaluate(
+                    base, m, top)
                 self._track(new_pst, new_shapes, cost)
                 if accept_move(cost.total - self.cost.total, t, self.rng):
-                    self.pst, self.shapes, self.cost = new_pst, new_shapes, cost
+                    self.state = trial.state(new_pst, new_shapes)
+                    self.cost = cost
                 iteration += 1
                 trace.append(TraceRow(iteration, t, self.cost.total,
                                       self.best[2].total))

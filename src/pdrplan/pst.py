@@ -18,10 +18,11 @@ as in plain sequence-pair floorplanning, but one layer at a time: since
 regions relate uniformly and layers of one region not at all, a module's
 longest path is its region's offset plus its position inside its own
 layer.  The region offsets come from one longest path over the
-region-level relations, region_offsets.  The rough scoring in explore and
-the move costs in delta call it too, and the move costs also share
+region-level relations, region_offsets.  The annealing chain's kept
+state in delta shares it with the rough scoring in explore, and shares
 pack_layer, the schedule recurrence run_layers and the cost formula
-costs_of with pack, schedule and evaluate.
+costs_of with pack, schedule and evaluate: a move repacks only the layer
+it changes and replays the schedule from that layer's rs slot.
 """
 
 from __future__ import annotations
@@ -83,15 +84,13 @@ class PST:
         """Copy with module m deleted; an emptied layer leaves rs."""
         part = dict(self.partition)
         key = part.pop(m)
-        rs = self.rs
-        if not any(v == key for v in part.values()):
-            rs = tuple(k for k in rs if k != key)
-        return PST(
-            ps=tuple(x for x in self.ps if x != m),
-            qs=tuple(x for x in self.qs if x != m),
-            rs=rs,
-            partition=part,
-        )
+        ps, qs, rs = self.ps, self.qs, self.rs
+        if key not in part.values():
+            t = rs.index(key)
+            rs = rs[:t] + rs[t + 1:]
+        i, j = ps.index(m), qs.index(m)
+        return PST(ps=ps[:i] + ps[i + 1:], qs=qs[:j] + qs[j + 1:], rs=rs,
+                   partition=part)
 
 
 def validate(pst: PST, g: TaskGraph) -> list:
@@ -345,12 +344,12 @@ def schedule(pst: PST, g: TaskGraph) -> ScheduleResult:
     exec_end: dict = {}
     layers = ((key, members[key], in_order[key]) for key in pst.rs)
     makespan = run_layers(layers, g, part, 0.0, {}, exec_end, 0.0,
-                          (config_start, config_end, exec_start))
+                          (config_start, config_end, exec_start, {}))
     return ScheduleResult(config_start, config_end, exec_start, exec_end, makespan)
 
 
 def run_layers(layers, g: TaskGraph, placed, port: float, region_end: dict,
-               exec_end: dict, makespan: float, starts) -> float:
+               exec_end: dict, makespan: float, out) -> float:
     """The schedule recurrence over layers in configuration order.
 
     layers yields (key, modules in ps order, modules in topological
@@ -359,11 +358,11 @@ def run_layers(layers, g: TaskGraph, placed, port: float, region_end: dict,
     time, and placed holds the modules of the solution; a predecessor
     outside it is ignored.  A layer's configuration time is its modules'
     sum in ps order.  region_end and exec_end are updated in place, and
-    each layer's configuration start and end and each module's start go
-    to the three dicts of starts.  Returns the latest finish, makespan
-    included.
+    out holds four dicts: each layer's configuration start, configuration
+    end, each module's start and each layer's end (its latest finish).
+    Returns the latest finish, makespan included.
     """
-    config_start, config_end, exec_start = starts
+    config_start, config_end, exec_start, layer_ends = out
     preds, conf_of, exec_of = g.predecessors, g.conf_times, g.exec_times
     for key, mods, in_order in layers:
         conf_sum = 0.0
@@ -389,7 +388,7 @@ def run_layers(layers, g: TaskGraph, placed, port: float, region_end: dict,
             end = exec_end[m] = start_t + exec_of[m]
             if end > layer_end:
                 layer_end = end
-        region_end[region] = layer_end
+        region_end[region] = layer_ends[key] = layer_end
         if layer_end > makespan:
             makespan = layer_end
     return makespan

@@ -8,6 +8,7 @@ import itertools
 import random
 
 from pdrplan.chip import ChipModel, Rect, ResourceVector
+from pdrplan.delta import PlanState
 from pdrplan.errors import InfeasibleModuleError
 from pdrplan.explore import Candidate, apply_candidate
 from pdrplan.ilp import _Search
@@ -33,6 +34,12 @@ def single_layer_pst(ids, region=0, layer=0):
     ids = list(ids)
     key = (region, layer)
     return PST(ps=ids, qs=ids, rs=[key], partition={m: key for m in ids})
+
+
+def plan_state(pst, shapes, g, chip, w):
+    """The PlanState of pst built from scratch, from pack and schedule."""
+    return PlanState(pst, shapes, g, chip, w, pack(pst, shapes),
+                     schedule(pst, g))
 
 
 def random_pst(rng: random.Random, ids, max_regions=3, max_layers=3):
@@ -284,15 +291,16 @@ def reference_approx_extents(ev, cand, shape):
     The resized region is as wide and as tall as the larger of the grown
     target layer (its best of side by side and stacked; a fresh layer is
     the shape itself) and every other layer of the region, each layer
-    measured on the evaluator's placement.  The design extents come from
-    one region longest path with that size.  A fresh region keeps the
-    corner rule: it extends the design's row or its column.
+    measured on pack's placement of the evaluator's PST.  The design
+    extents come from one region longest path with that size.  A fresh
+    region keeps the corner rule: it extends the design's row or its
+    column.
     """
     if cand.new_region:
         if cand.ps_pos == cand.qs_pos or not ev.pst.ps:
             return ev.x_base + shape.w, max(ev.y_base, shape.h)
         return max(ev.x_base, shape.w), ev.y_base + shape.h
-    p = ev.placement
+    p = pack(ev.pst, ev.shapes)
     width, height = {}, {}
     for r, box in p.region_boxes.items():
         width[r], height[r] = box.w, box.h

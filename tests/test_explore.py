@@ -1,22 +1,26 @@
 import math
 import random
 import time
+from functools import reduce
+from operator import add
 
 import pytest
 
 from helpers import (eager_insertions, exact_rough_evaluate, make_graph,
-                     single_layer_pst)
+                     plan_state, single_layer_pst)
 from pdrplan import explore
-from pdrplan.chip import builtin_xc7vx485t
+from pdrplan.chip import ResourceVector, builtin_xc7vx485t
 from pdrplan.delta import MoveBase
 from pdrplan.explore import (MAX_CANDIDATES, PROBE_MOVES, ROUGH_KEEP_K,
                              RoughEvaluator, SAConfig, accept_move,
                              accurate_evaluate, anneal, apply_candidate,
                              enumerate_insertions, initial_solution)
-from pdrplan.pst import PST, CostWeights, evaluate, pack, schedule, validate
+from pdrplan.pst import (PST, CostWeights, comm_between, evaluate, pack,
+                         schedule, validate)
 from pdrplan.report import prepare_instance
 from pdrplan.shapes import Shape, ShapeGenConfig, ShapeList, generate_all
-from pdrplan.taskgraph import (assign_conf_times, generate, preset_spec)
+from pdrplan.taskgraph import (TaskGraph, TaskModule, assign_conf_times,
+                               generate, preset_spec)
 
 
 @pytest.fixture(scope="module")
@@ -190,12 +194,13 @@ class TestBest:
         pruned = 0
         for g, lists, without, shapes, m, cands in walk_moves(chip, name,
                                                              seed, 20):
-            w = CostWeights().resolve(g, chip)
-            oracle = RoughEvaluator(without, shapes, g, w, m)
+            base = plan_state(without, shapes, g, chip,
+                              CostWeights().resolve(g, chip))
+            oracle = RoughEvaluator(base, m)
             scored = [oracle.evaluate(c, lists[m]) for c in cands]
             order = sorted(range(len(cands)), key=lambda i: scored[i][1])
             for k in (1, ROUGH_KEEP_K, len(cands)):
-                ev = RoughEvaluator(without, shapes, g, w, m)
+                ev = RoughEvaluator(base, m)
                 calls = []
                 ev.evaluate = lambda c, sl, f=ev.evaluate: (calls.append(c)
                                                             or f(c, sl))
@@ -215,8 +220,8 @@ class TestRoughEvaluate:
         pst = initial_solution(g, lists, chip)
         without = pst.without("m2")
         cands = enumerate_insertions(without, "m2", g)
-        ev = RoughEvaluator(without, {"m1": Shape(6, 10)}, g,
-                            CostWeights().resolve(g, chip), "m2")
+        ev = RoughEvaluator(plan_state(without, {"m1": Shape(6, 10)}, g, chip,
+                                       CostWeights().resolve(g, chip)), "m2")
         shape, score = ev.evaluate(cands[0], lists["m2"])
         assert shape == Shape(6, 10)
         assert math.isfinite(score)
@@ -229,7 +234,7 @@ class TestRoughEvaluate:
         shapes = {m: lists[m].shapes[0] for m in g.module_ids}
         for m in list(g.module_ids)[:3]:
             without = pst.without(m)
-            ev = RoughEvaluator(without, shapes, g, w, m)
+            ev = RoughEvaluator(plan_state(without, shapes, g, chip, w), m)
             for cand in enumerate_insertions(without, m, g)[:10]:
                 shape, score = exact_rough_evaluate(ev, cand, lists[m])
                 applied = apply_candidate(without, m, cand)
@@ -251,7 +256,7 @@ class TestRoughEvaluate:
                   partition={"m1": (0, 0)})
         shapes = {"m1": Shape(140, 345)}
         w = CostWeights(beta=0, gamma_comm=0, lambda_=0).resolve(g, chip)
-        ev = RoughEvaluator(pst, shapes, g, w, "m2")
+        ev = RoughEvaluator(plan_state(pst, shapes, g, chip, w), "m2")
         m2_list = ShapeList("m2", (Shape(5, 100), Shape(100, 5)))
         above = [c for c in enumerate_insertions(pst, "m2", g)
                  if not c.new_layer and c.ps_pos == 0 and c.qs_pos == 1][0]
@@ -270,8 +275,8 @@ class TestAccurateEvaluate:
         without = pst.without(m)
         cand = enumerate_insertions(without, m, g)[0]
         cand.shape = lists[m].shapes[0]
-        new_pst, new_shapes, cost, picked = accurate_evaluate(
-            without, m, [cand], shapes, g, chip, w)
+        new_pst, new_shapes, cost, picked, _ = accurate_evaluate(
+            plan_state(without, shapes, g, chip, w), m, [cand])
         assert picked is cand
         recomputed = evaluate(new_pst, new_shapes, g, chip, w).costs
         assert cost == recomputed
@@ -286,8 +291,8 @@ class TestAccurateEvaluate:
         cands = enumerate_insertions(without, m, g)[:6]
         for c in cands:
             c.shape = lists[m].shapes[0]
-        _, _, best_cost, _ = accurate_evaluate(without, m, cands, shapes, g,
-                                               chip, w)
+        best_cost = accurate_evaluate(plan_state(without, shapes, g, chip, w),
+                                      m, cands)[2]
         costs = []
         for c in cands:
             applied = apply_candidate(without, m, c)
@@ -297,8 +302,26 @@ class TestAccurateEvaluate:
         assert best_cost == min(costs, key=lambda c: c.total)
 
 
+STATE_FIELDS = ("sizes", "members", "members_q", "order", "conf_sum",
+                "exec_max", "layer_end", "config_end", "width", "height",
+                "off_x", "off_y", "x_max", "y_max", "cx", "cy", "exec_end",
+                "makespan", "terms")
+
+
+def assert_same_state(kept, pst, shapes, g, chip, w):
+    """The kept state equals the one built from scratch for pst, field by
+    field: sizes, boxes, centres, edge terms (None for an edge of a module
+    outside pst), sums, ends and timeline."""
+    scratch = plan_state(pst, shapes, g, chip, w)
+    assert kept.pst == pst and kept.shapes == shapes
+    for name in STATE_FIELDS:
+        assert getattr(kept, name) == getattr(scratch, name), name
+
+
 class TestMoveBase:
-    """The delta cost of every candidate equals a full evaluate."""
+    """The delta cost of every candidate equals a full evaluate, and the
+    chain's kept state equals one built from scratch after every move's
+    base and every applied winner."""
 
     @staticmethod
     def walk(chip, name, seed, moves, seen):
@@ -308,38 +331,47 @@ class TestMoveBase:
         rng = random.Random(seed)
         pst = initial_solution(g, lists, chip)
         shapes = {m: lists[m].min_area_shape() for m in g.module_ids}
+        state = plan_state(pst, shapes, g, chip, w)
         ids = list(g.module_ids)
         for _ in range(moves):
             m = rng.choice(ids)
             without = pst.without(m)
             if len(without.region_layers) < len(pst.region_layers):
                 seen.add("region emptied")
-            base = MoveBase(without, m, shapes, g, chip, w,
-                            pack(without, shapes), schedule(without, g))
+            if len(without.rs) < len(pst.rs):
+                seen.add("layer emptied")
+            base = state.without(m)
+            assert_same_state(base, without, shapes, g, chip, w)
+            move = MoveBase(base, m)
             cands = enumerate_insertions(without, m, g)
+            trials = []
             for cand in cands:
                 cand.shape = rng.choice(lists[m].shapes)
                 expect = evaluate(apply_candidate(without, m, cand),
                                   {**shapes, m: cand.shape}, g, chip, w).costs
-                assert base.costs(cand) == expect
+                trials.append(move.costs(cand))
+                assert trials[-1].cost == expect
                 if cand.new_region:
                     seen.add(("corner", cand.ps_pos == 0, cand.qs_pos == 0))
                 seen.add(("fresh layer" if cand.new_layer else "layer",
                           expect.feasible))
             # Fresh regions now and then, so that moves empty regions too.
-            fresh = [c for c in cands if c.new_region]
+            picks = range(len(cands))
+            fresh = [i for i in picks if cands[i].new_region]
             if fresh and rng.random() < 0.3:
-                cands = fresh
-            cand = rng.choice(cands)
-            pst = apply_candidate(without, m, cand)
-            shapes[m] = cand.shape
+                picks = fresh
+            k = rng.choice(picks)
+            pst = apply_candidate(without, m, cands[k])
+            shapes = {**shapes, m: cands[k].shape}
+            state = trials[k].state(pst, shapes)
+            assert_same_state(state, pst, shapes, g, chip, w)
 
     def test_delta_equals_evaluate_on_random_walks(self, chip):
         seen = set()
         self.walk(chip, "t10-1", 1, 20, seen)
         self.walk(chip, "t10-2", 2, 20, seen)
         self.walk(chip, "t30-1", 3, 20, seen)
-        assert seen >= {"region emptied",
+        assert seen >= {"region emptied", "layer emptied",
                         ("corner", True, True), ("corner", True, False),
                         ("corner", False, True), ("corner", False, False),
                         ("layer", True), ("layer", False),
@@ -362,9 +394,44 @@ def test_float_sums_run_left_to_right(chip):
     w = CostWeights().resolve(g, chip)
     assert w.schedule_norm == g.critical_path_time() + left_to_right(11)
     assert g.total_edge_weight() == left_to_right(10)
-    pst = single_layer_pst([f"m{i}" for i in range(1, 11)])
-    ev = RoughEvaluator(pst, {m: Shape(2, 5) for m in pst.ps}, g, w, "m11")
+    pst = single_layer_pst([f"m{i}" for i in range(1, 12)])
+    shapes = {m: Shape(2, 5) for m in pst.ps}
+    state = plan_state(pst, shapes, g, chip, w)
+    base = state.without("m11")
+    ev = RoughEvaluator(base, "m11")
     assert ev.conf_sum[(0, 0)] == left_to_right(10)
+    # Each edge spans one 2-wide slot of the row: ten terms of 0.1 * 2.
+    assert state.terms == [0.1 * 2] * 10
+    comm = comm_between(g, state.cx, state.cy)
+    assert reduce(add, state.terms, 0.0) == comm != math.fsum(state.terms)
+    back = [c for c in enumerate_insertions(base.pst, "m11", g)
+            if not c.new_layer and c.ps_pos == c.qs_pos == 10][0]
+    back.shape = Shape(2, 5)
+    assert MoveBase(base, "m11").costs(back).cost.comm_raw == comm
+
+
+def test_replays_shared_only_by_equal_configuration_sums(chip):
+    """Points of one layer and rs slot share a schedule replay only when
+    their configuration sums, taken in ps order, are the same float: 0.1,
+    0.2 and 0.01 sum to 0.31 or to 0.31000000000000005 depending on where
+    m3 goes.  Every point still costs what evaluate gives."""
+    g = TaskGraph([TaskModule(m, ResourceVector(10, 0, 0), 0.001, conf)
+                   for m, conf in (("m1", 0.1), ("m2", 0.2), ("m3", 0.01))],
+                  [])
+    w = CostWeights().resolve(g, chip)
+    pst = single_layer_pst(["m1", "m2"])
+    shapes = {m: Shape(2, 5) for m in ("m1", "m2", "m3")}
+    move = MoveBase(plan_state(pst, shapes, g, chip, w), "m3")
+    makespans = set()
+    for cand in enumerate_insertions(pst, "m3", g):
+        if cand.new_layer:
+            continue
+        cand.shape = Shape(2, 5)
+        expect = evaluate(apply_candidate(pst, "m3", cand), shapes, g, chip,
+                          w).costs
+        assert move.costs(cand).cost == expect
+        makespans.add(expect.makespan)
+    assert len(makespans) == 2
 
 
 class TestAcceptance:
@@ -383,6 +450,20 @@ class TestAcceptance:
         delta, temp = 0.5, 1.0
         hits = sum(accept_move(delta, temp, rng) for _ in range(20000))
         assert hits / 20000 == pytest.approx(math.exp(-0.5), abs=0.02)
+
+
+class TestSAConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("min_temperature", 0.0), ("min_temperature", -1.0),
+        ("min_temperature", math.inf), ("min_temperature", math.nan),
+        ("initial_temperature", 0.0), ("initial_temperature", -1.0),
+        ("initial_temperature", math.inf), ("initial_temperature", math.nan)])
+    def test_temperature_must_be_finite_and_positive(self, name, value):
+        """A zero or negative floor is never reached (5e-324 * 0.9 rounds
+        back to 5e-324) and an infinite start never cools, so both anneal
+        forever; a NaN start or floor and an infinite floor run no move."""
+        with pytest.raises(ValueError, match=name):
+            SAConfig(**{name: value})
 
 
 class TestAnneal:

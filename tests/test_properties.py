@@ -11,8 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (TOY_CHIP, _ReferenceSearch, layered_pst, make_graph,
-                     module_level_pack, per_candidate_rough, random_pst,
-                     reference_approx_extents, reference_schedule,
+                     module_level_pack, per_candidate_rough, plan_state,
+                     random_pst, reference_approx_extents, reference_schedule,
                      reference_solve, scan_min_column_counts)
 from pdrplan.chip import ChipModel, ResourceVector, builtin_xc7vx485t, load_chip
 from pdrplan.explore import (RoughEvaluator, apply_candidate,
@@ -199,7 +199,7 @@ def random_move(name, seed):
     m = rng.choice(ids)
     without = pst.without(m)
     w = CostWeights().resolve(g, CHIP)
-    ev = RoughEvaluator(without, shapes, g, w, m)
+    ev = RoughEvaluator(plan_state(without, shapes, g, CHIP, w), m)
     return g, lists, without, shapes, m, ev
 
 
