@@ -11,7 +11,12 @@ rough score read from the base (area and schedule estimates; the moved
 module's shape is reselected from its candidate list at the same time).
 The best few are then costed exactly from the base (delta.MoveBase), and
 the winner goes through the usual Metropolis acceptance test; an accepted
-winner's costing becomes the chain's next state.  Rough estimates are
+winner's costing becomes the chain's next state.  A move whose points are
+all scored (no more than MAX_CANDIDATES of them, so none is sampled) draws
+no random number: its top list and winner depend only on the plan and the
+module.  The chain keeps such moves per module and reuses them until an
+accepted winner changes the plan.  Sampled moves are not kept, as each
+depends on its sample.  Rough estimates are
 computed once per class of insertion points that share them (the same
 target layer or region side, the same configuration slot) rather than
 once per point, and only for points whose lower bound can still reach
@@ -58,7 +63,10 @@ class SAConfig:
     as well as the annealing proper.  Each move samples at most
     MAX_CANDIDATES insertion points and re-costs the ROUGH_KEEP_K with the
     best rough scores exactly; RoughEvaluator.best finds those without
-    scoring the points a bound rules out.  anneal runs one chain, seeded
+    scoring the points a bound rules out.  A move that sampled nothing is
+    computed once per plan and module and kept until the plan changes; the
+    random stream is drawn as if it were recomputed, so results do not
+    depend on the reuse.  anneal runs one chain, seeded
     with seed; PipelineConfig.runs repeats it with seeds seed, seed + 1,
     ...
     """
@@ -74,9 +82,9 @@ class SAConfig:
     def __post_init__(self):
         if not 0.0 < self.cooling_rate < 1.0:
             raise ValueError("cooling_rate must be in (0, 1)")
-        if (self.iterations_per_temperature is not None
-                and self.iterations_per_temperature < 1):
-            raise ValueError("iterations_per_temperature must be >= 1")
+        iters = self.iterations_per_temperature
+        if iters is not None and not (isinstance(iters, int) and iters >= 1):
+            raise ValueError("iterations_per_temperature must be an int >= 1")
         if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError("time_limit must be >= 0")
         for name in ("initial_temperature", "min_temperature"):
@@ -523,8 +531,44 @@ def accept_move(delta: float, temperature: float, rng: random.Random) -> bool:
     return rng.random() < math.exp(-exponent)
 
 
+class _Move:
+    """One move from the chain's current plan: module m, its base (the
+    plan without m) and its rough top list.  The exact winner and each
+    probe's cost are computed on first request and then kept."""
+
+    __slots__ = ("m", "base", "top", "_winner", "_probes")
+
+    def __init__(self, m, base, top):
+        self.m, self.base, self.top = m, base, top
+        self._winner = None
+        self._probes: dict = {}  # index in top -> its exact cost
+
+    def winner(self):
+        """accurate_evaluate's result over the whole top list."""
+        if self._winner is None:
+            self._winner = accurate_evaluate(self.base, self.m, self.top)
+        return self._winner
+
+    def probe(self, i):
+        """The exact cost of top[i] alone."""
+        cost = self._probes.get(i)
+        if cost is None:
+            cost = self._probes[i] = accurate_evaluate(
+                self.base, self.m, [self.top[i]])[2]
+        return cost
+
+
 class _Chain:
-    """One annealing run with its own RNG and state."""
+    """One annealing run with its own RNG and state.
+
+    moves keeps, per module, its move from the current plan when the move
+    drew no random number (at most MAX_CANDIDATES points, all scored): its
+    top list and winner depend only on the plan and the module, so a later
+    draw of that module reuses them.  A sampled move depends on its sample
+    and is not kept, which also keeps the bases of large plans, where most
+    moves sample, out of memory.  moves is cleared whenever an accepted
+    winner changes the plan.
+    """
 
     def __init__(self, g, shape_lists, chip, cfg, weights, deadline):
         self.g = g
@@ -541,6 +585,7 @@ class _Chain:
         self.cost = cost_from_parts(placement, timeline, g, chip, weights)
         self.best = (pst, shapes, self.cost)
         self.best_feasible = self.best if self.cost.feasible else None
+        self.moves: dict = {}  # module -> its unsampled _Move from state
 
     def _past_deadline(self):
         return self.deadline is not None and time.monotonic() > self.deadline
@@ -552,17 +597,24 @@ class _Chain:
                               or cost.total < self.best_feasible[2].total):
             self.best_feasible = (pst, shapes, cost)
 
-    def _random_move(self):
-        """Delete a random module and pick rough-ranked reinsertions; also
-        the move's base, the state without the module."""
+    def _random_move(self) -> _Move:
+        """Delete a random module and pick rough-ranked reinsertions from
+        the move's base, the state without the module; a kept move of that
+        module is returned as it is."""
         m = self.rng.choice(self.ids)
+        move = self.moves.get(m)
+        if move is not None:
+            return move
         base = self.state.without(m)
         points = enumerate_insertions(base.pst, m, self.g)
         n = len(points)
         cands = ([points[i] for i in self.rng.sample(range(n), MAX_CANDIDATES)]
                  if n > MAX_CANDIDATES else list(points))
-        top = RoughEvaluator(base, m).best(cands, self.lists[m], ROUGH_KEEP_K)
-        return m, base, top
+        move = _Move(m, base, RoughEvaluator(base, m).best(
+            cands, self.lists[m], ROUGH_KEEP_K))
+        if n <= MAX_CANDIDATES:
+            self.moves[m] = move
+        return move
 
     def initial_temperature(self):
         if self.cfg.initial_temperature is not None:
@@ -571,8 +623,9 @@ class _Chain:
         for _ in range(PROBE_MOVES):
             if self._past_deadline():
                 break
-            m, base, top = self._random_move()
-            cost = accurate_evaluate(base, m, [self.rng.choice(top)])[2]
+            move = self._random_move()
+            # choice over the indices draws as choice over top itself.
+            cost = move.probe(self.rng.choice(range(len(move.top))))
             d = abs(cost.total - self.cost.total)
             if d > 1e-12:
                 deltas.append(d)
@@ -580,6 +633,19 @@ class _Chain:
             return 1.0
         deltas.sort()
         return deltas[len(deltas) // 2] / _PROBE_ACCEPT
+
+    def step(self, t):
+        """One annealing move at temperature t.  An accepted winner that
+        changes the plan becomes the next state; one that puts the module
+        back keeps the state and its kept moves."""
+        new_pst, new_shapes, cost, _, trial = self._random_move().winner()
+        self._track(new_pst, new_shapes, cost)
+        if accept_move(cost.total - self.cost.total, t, self.rng):
+            state = self.state
+            if new_pst != state.pst or new_shapes != state.shapes:
+                self.state = trial.state(new_pst, new_shapes)
+                self.moves.clear()
+            self.cost = cost
 
     def run(self):
         """Anneal to the minimum temperature or the deadline; the trace rows."""
@@ -595,13 +661,7 @@ class _Chain:
             for _ in range(iters):
                 if self._past_deadline():
                     return trace
-                m, base, top = self._random_move()
-                new_pst, new_shapes, cost, _, trial = accurate_evaluate(
-                    base, m, top)
-                self._track(new_pst, new_shapes, cost)
-                if accept_move(cost.total - self.cost.total, t, self.rng):
-                    self.state = trial.state(new_pst, new_shapes)
-                    self.cost = cost
+                self.step(t)
                 iteration += 1
                 trace.append(TraceRow(iteration, t, self.cost.total,
                                       self.best[2].total))

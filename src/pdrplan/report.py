@@ -67,8 +67,8 @@ class PipelineConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        if not (isinstance(self.runs, int) and self.runs >= 1):
+            raise ValueError("runs must be an int >= 1")
         if (self.postopt_time_limit is not None
                 and not self.postopt_time_limit >= 0):
             raise ValueError("postopt_time_limit must be >= 0")

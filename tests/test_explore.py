@@ -530,3 +530,99 @@ class TestAnneal:
         lists = lists_for(g, chip)
         with pytest.raises(ValueError, match="conf"):
             anneal(g, lists, chip, SAConfig())
+
+
+class TestKeptMoves:
+    """A move that samples nothing depends only on the plan and the moved
+    module, so the chain computes it once per plan and keeps it until an
+    accepted winner changes the plan."""
+
+    @pytest.mark.parametrize("cfg", [
+        SAConfig(seed=3),
+        SAConfig(seed=3, iterations_per_temperature=4,
+                 initial_temperature=1.0, min_temperature=0.5),
+    ], ids=["probed", "fixed"])
+    def test_one_module_anneal_computes_its_move_once(self, chip, cfg,
+                                                      monkeypatch):
+        """A one-module plan has one insertion point, which puts the module
+        back: the plan never changes, so every draw after the first, the
+        probes' included, reuses the first move."""
+        calls = []
+
+        def counting(pst, m, g):
+            calls.append(m)
+            return enumerate_insertions(pst, m, g)
+
+        monkeypatch.setattr(explore, "enumerate_insertions", counting)
+        g = make_graph(1, conf=1.0)
+        lists = {"m1": ShapeList("m1", (Shape(8, 5), Shape(5, 10)))}
+        sol, trace = anneal(g, lists, chip, cfg)
+        assert len(trace) > 1 and sol.shapes["m1"] == Shape(8, 5)
+        assert calls == ["m1"]
+
+    def test_sampled_moves_are_not_kept(self, chip, monkeypatch):
+        """After every move of a t100 anneal, probes included, the chain
+        keeps only modules with at most MAX_CANDIDATES insertion points."""
+        g, lists = prepare_instance(generate(preset_spec("t100-1", seed=0)),
+                                    chip, ShapeGenConfig(), 0.001)
+        draw = explore._Chain._random_move
+        sampled = []
+        kept = []
+
+        def checked(chain):
+            move = draw(chain)
+            state = chain.state
+            for m in chain.moves:
+                points = enumerate_insertions(state.without(m).pst, m, g)
+                assert len(points) <= MAX_CANDIDATES
+                kept.append(m)
+            points = enumerate_insertions(move.base.pst, move.m, g)
+            sampled.append(len(points) > MAX_CANDIDATES)
+            return move
+
+        monkeypatch.setattr(explore._Chain, "_random_move", checked)
+        anneal(g, lists, chip, SAConfig(seed=0, iterations_per_temperature=1))
+        assert len(sampled) > PROBE_MOVES and sum(sampled) > len(sampled) / 2
+        assert kept
+
+    def test_kept_moves_equal_recomputed_ones(self, chip):
+        """At every reuse the kept top list and winner equal a fresh
+        computation from the current state, and the kept moves are dropped
+        whenever an accepted winner changes the plan."""
+        g, lists = t10_instance(5, chip)
+        w = CostWeights().resolve(g, chip)
+        chain = explore._Chain(g, lists, chip, SAConfig(seed=1), w, None)
+        draw = chain._random_move
+        hits = []
+
+        def checked():
+            kept = dict(chain.moves)
+            move = draw()
+            if kept.get(move.m) is move:
+                m = move.m
+                base = chain.state.without(m)
+                top = RoughEvaluator(base, m).best(
+                    list(enumerate_insertions(base.pst, m, g)), lists[m],
+                    ROUGH_KEEP_K)
+                assert move.top == top
+                assert move.winner()[2] == accurate_evaluate(base, m, top)[2]
+                hits.append(m)
+            return move
+
+        chain._random_move = checked
+        chain.initial_temperature()
+        probed = len(hits)
+        changes = repeats = 0
+        for _ in range(300):
+            state, cost = chain.state, chain.cost
+            chain.step(0.05)  # accepts about two moves in three here
+            if chain.state is not state:
+                assert (chain.state.pst != state.pst
+                        or chain.state.shapes != state.shapes)
+                assert chain.moves == {}
+                changes += 1
+            elif chain.cost is not cost:
+                assert chain.cost.total == cost.total
+                repeats += 1
+        assert probed > 50 and len(hits) - probed > 20
+        assert changes > 50 and repeats > 50

@@ -183,6 +183,20 @@ def test_time_limits_reject_negative_and_nan(make):
         make(ok)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda v: SAConfig(iterations_per_temperature=v),
+     "iterations_per_temperature"),
+    (lambda v: PipelineConfig(runs=v), "runs"),
+], ids=["SAConfig", "PipelineConfig"])
+def test_counts_reject_non_integers(make, field):
+    """A fractional or NaN count would pass a >= 1 test and fail later in
+    range; it is refused where the config is built."""
+    for bad in (2.5, float("nan")):
+        with pytest.raises(ValueError, match=field):
+            make(bad)
+    make(1)
+
+
 @pytest.mark.parametrize("cfg_rate", [-1.0, float("nan"), float("inf")])
 def test_prepare_instance_rejects_bad_cfg_rate(cfg_rate, chip):
     g = load_graph(POSTOPT / "t10-2-s0.graph")
