@@ -9,8 +9,8 @@ from .taskgraph import (BenchSpec, Edge, TaskGraph, TaskModule,
 from .shapes import (Shape, ShapeGenConfig, ShapeList, generate_all,
                      initial_width, min_height_for_width)
 from .pst import (CostBreakdown, CostWeights, Placement, PST, ScheduleResult,
-                  Solution, comm_cost, evaluate, hetero_cost, is_feasible,
-                  pack, schedule, validate)
+                  Solution, comm_cost, evaluate, hetero_cost, pack, schedule,
+                  validate)
 from .explore import (Candidate, SAConfig, anneal, enumerate_insertions,
                       initial_solution)
 from .ilp import ILPModel, SolveResult, build_model, export_lp, solve

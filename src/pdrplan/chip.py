@@ -29,10 +29,6 @@ class ResourceVector:
         if self.clb < 0 or self.bram < 0 or self.dsp < 0:
             raise ValueError(f"negative resource count: {self}")
 
-    def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(self.clb + other.clb, self.bram + other.bram,
-                              self.dsp + other.dsp)
-
     def covers(self, other: "ResourceVector") -> bool:
         """True if every component is >= the corresponding one of `other`."""
         return (self.clb >= other.clb and self.bram >= other.bram

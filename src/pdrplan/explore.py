@@ -9,7 +9,7 @@ schedule only from that layer's configuration slot.  A sample of the
 insertion points, built only when sampled, is first ranked by a cheap
 rough score read from the base (area and schedule estimates; the moved
 module's shape is reselected from its candidate list at the same time).
-The best few are then costed exactly from the base (delta.MoveBase), and
+The best few are then costed exactly from the base (PlanState.costs), and
 the winner goes through the usual Metropolis acceptance test; an accepted
 winner's costing becomes the chain's next state.  A move whose points are
 all scored (no more than MAX_CANDIDATES of them, so none is sampled) draws
@@ -36,7 +36,7 @@ from itertools import accumulate
 
 from .chip import ChipModel
 from .errors import InfeasibleModuleError
-from .delta import MoveBase, PlanState
+from .delta import PlanState
 from .pst import (CostWeights, PST, cost_from_parts, evaluate, pack,
                   region_offsets, schedule)
 from .shapes import Shape, ShapeList
@@ -498,7 +498,7 @@ class RoughEvaluator:
 def accurate_evaluate(base: PlanState, m: str, cands: list):
     """Exact cost of each candidate from the move's base; the argmin.
 
-    base is the move's PlanState without module m; see delta.MoveBase.
+    base is the move's PlanState without module m; see PlanState.costs.
     Each cost equals evaluate's on the applied candidate.  Only the
     winner, the first of the cheapest, is applied.  Returns (pst, shapes,
     cost, candidate, trial) of the winner; trial.state(pst, shapes) is its
@@ -506,10 +506,9 @@ def accurate_evaluate(base: PlanState, m: str, cands: list):
     """
     if not cands:
         raise ValueError("accurate_evaluate needs at least one candidate")
-    move = MoveBase(base, m)
     best = None
     for cand in cands:
-        trial = move.costs(cand)
+        trial = base.costs(m, cand)
         if best is None or trial.cost.total < best.cost.total:
             best = trial
     cand = best.cand

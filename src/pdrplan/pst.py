@@ -108,6 +108,10 @@ def validate(pst: PST, g: TaskGraph) -> list:
     if unknown:
         violations.append(f"unknown modules: {', '.join(unknown)}")
         return violations
+    missing = [m for m in g.module_ids if m not in ps_set]
+    if missing:
+        violations.append(f"missing modules: {', '.join(missing)}")
+        return violations
 
     nonempty = set(pst.partition.values())
     rs_set = set(pst.rs)
@@ -261,10 +265,9 @@ def pack(pst: PST, shapes: dict) -> Placement:
     relation graph, evaluated in pieces.
 
     The PST must be structurally valid (see validate): the decomposition
-    rests on contiguous region and layer blocks.  Packing always succeeds;
-    a result exceeding the chip is reported by is_feasible, not here.  y
-    coordinates stay quantum-aligned because every height is a quantum
-    multiple.
+    rests on contiguous region and layer blocks.  Packing always
+    succeeds, also beyond the chip.  y coordinates stay quantum-aligned
+    because every height is a quantum multiple.
     """
     ps, part = pst.ps, pst.partition
     by_q: dict = {}
@@ -299,11 +302,6 @@ def pack(pst: PST, shapes: dict) -> Placement:
     y_max = max((off_y[r] + region_h[r] for r in off_x), default=0)
     return Placement(coords=coords, region_boxes=region_boxes,
                      x_max=x_max, y_max=y_max, layer_sizes=layer_sizes)
-
-
-def is_feasible(p: Placement, chip: ChipModel) -> bool:
-    """True iff the packed extents stay inside the chip boundary."""
-    return p.x_max <= chip.width and p.y_max <= chip.height
 
 
 # ----------------------------------------------------------------------

@@ -220,6 +220,31 @@ class TestSolutionShapes:
         assert code == 2
         assert f"{sol}:7: second place line for module m1" in err
 
+    def test_missing_module_rejected(self, graph_file, tmp_path, capsys):
+        """A plan that leaves a module of its graph out is rejected, both
+        the explored plan without m3 and a benchmark plan without m8."""
+        sol = Path(self.plan(tmp_path, graph_file, lambda m, w, h: (w, h)))
+        lines = [x.replace(" m3", "").replace(" 0.2", "")
+                 for x in sol.read_text().splitlines()
+                 if not x.startswith("place m3 ")]
+        sol.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(["metrics", "--graph", graph_file,
+                                  "--solution", str(sol)], capsys)
+        assert (code, out) == (2, "")
+        assert f"{sol}: invalid solution: missing modules: m3" in err
+
+        text = (POSTOPT / "t10-2-s0.solution").read_text()
+        lines = [" ".join(t for t in x.split() if t != "m8")
+                 for x in text.splitlines() if not x.startswith("place m8 ")]
+        sol = tmp_path / "no-m8.solution"
+        sol.write_text("\n".join(lines) + "\n")
+        for verb in ("metrics", "postopt"):
+            code, _, err = run_cli([verb, "--graph",
+                                    str(POSTOPT / "t10-2-s0.graph"),
+                                    "--solution", str(sol)], capsys)
+            assert code == 2
+            assert "missing modules: m8" in err
+
     @pytest.mark.parametrize("extra, what", [
         (" w=146", "duplicate attribute 'w'"),
         (" bogus=7", "unknown attribute 'bogus'"),

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from dataclasses import replace
 from functools import reduce
 from operator import add
 
@@ -10,7 +11,6 @@ from helpers import (eager_insertions, exact_rough_evaluate, make_graph,
                      plan_state, single_layer_pst)
 from pdrplan import explore
 from pdrplan.chip import ResourceVector, builtin_xc7vx485t
-from pdrplan.delta import MoveBase
 from pdrplan.explore import (MAX_CANDIDATES, PROBE_MOVES, ROUGH_KEEP_K,
                              RoughEvaluator, SAConfig, accept_move,
                              accurate_evaluate, anneal, apply_candidate,
@@ -302,10 +302,9 @@ class TestAccurateEvaluate:
         assert best_cost == min(costs, key=lambda c: c.total)
 
 
-STATE_FIELDS = ("sizes", "members", "members_q", "order", "conf_sum",
-                "exec_max", "layer_end", "config_end", "width", "height",
-                "off_x", "off_y", "x_max", "y_max", "cx", "cy", "exec_end",
-                "makespan", "terms")
+STATE_FIELDS = ("sizes", "members", "order", "conf_sum", "exec_max",
+                "layer_end", "config_end", "width", "height", "off_x", "off_y",
+                "x_max", "y_max", "cx", "cy", "exec_end", "makespan", "terms")
 
 
 def assert_same_state(kept, pst, shapes, g, chip, w):
@@ -318,13 +317,19 @@ def assert_same_state(kept, pst, shapes, g, chip, w):
         assert getattr(kept, name) == getattr(scratch, name), name
 
 
-class TestMoveBase:
-    """The delta cost of every candidate equals a full evaluate, and the
-    chain's kept state equals one built from scratch after every move's
-    base and every applied winner."""
+class TestPlanState:
+    """The delta cost of every insertion point equals a full evaluate, and
+    the chain's kept state equals one built from scratch after every
+    move's base and every applied winner, while states and bases keep
+    their memos across moves and probes."""
 
     @staticmethod
-    def walk(chip, name, seed, moves, seen):
+    def walk(chip, name, seed, states, seen):
+        """Each state serves two or three moves before one of them applies
+        a winner, as the chain's kept moves do.  Each move's base costs a
+        few single points first, as probes do, once with another shape,
+        then every point, and the earlier moves of the state probe again
+        once the later bases are drawn."""
         g, lists = prepare_instance(generate(preset_spec(name, seed=0)),
                                     chip, ShapeGenConfig(), 0.001)
         w = CostWeights().resolve(g, chip)
@@ -333,28 +338,47 @@ class TestMoveBase:
         shapes = {m: lists[m].min_area_shape() for m in g.module_ids}
         state = plan_state(pst, shapes, g, chip, w)
         ids = list(g.module_ids)
-        for _ in range(moves):
-            m = rng.choice(ids)
-            without = pst.without(m)
-            if len(without.region_layers) < len(pst.region_layers):
-                seen.add("region emptied")
-            if len(without.rs) < len(pst.rs):
-                seen.add("layer emptied")
-            base = state.without(m)
-            assert_same_state(base, without, shapes, g, chip, w)
-            move = MoveBase(base, m)
-            cands = enumerate_insertions(without, m, g)
-            trials = []
-            for cand in cands:
-                cand.shape = rng.choice(lists[m].shapes)
-                expect = evaluate(apply_candidate(without, m, cand),
-                                  {**shapes, m: cand.shape}, g, chip, w).costs
-                trials.append(move.costs(cand))
-                assert trials[-1].cost == expect
-                if cand.new_region:
-                    seen.add(("corner", cand.ps_pos == 0, cand.qs_pos == 0))
-                seen.add(("fresh layer" if cand.new_layer else "layer",
-                          expect.feasible))
+
+        def probe(move):
+            m, without, base, cands, expect = move[:5]
+            i = rng.randrange(len(cands))
+            assert base.costs(m, cands[i]).cost == expect[i]
+            other = replace(cands[i], shape=rng.choice(lists[m].shapes))
+            assert base.costs(m, other).cost == evaluate(
+                apply_candidate(without, m, other),
+                {**shapes, m: other.shape}, g, chip, w).costs
+
+        for _ in range(states):
+            moves = []
+            for _ in range(rng.choice((2, 3))):
+                m = rng.choice(ids)
+                without = pst.without(m)
+                if len(without.region_layers) < len(pst.region_layers):
+                    seen.add("region emptied")
+                if len(without.rs) < len(pst.rs):
+                    seen.add("layer emptied")
+                base = state.without(m)
+                assert_same_state(base, without, shapes, g, chip, w)
+                cands = enumerate_insertions(without, m, g)
+                expect = []
+                for cand in cands:
+                    cand.shape = rng.choice(lists[m].shapes)
+                    expect.append(evaluate(apply_candidate(without, m, cand),
+                                           {**shapes, m: cand.shape}, g,
+                                           chip, w).costs)
+                    if cand.new_region:
+                        seen.add(("corner", cand.ps_pos == 0,
+                                  cand.qs_pos == 0))
+                    seen.add(("fresh layer" if cand.new_layer else "layer",
+                              expect[-1].feasible))
+                move = (m, without, base, cands, expect)
+                probe(move)
+                trials = [base.costs(m, cand) for cand in cands]
+                assert [trial.cost for trial in trials] == expect
+                for earlier in moves:
+                    probe(earlier)
+                moves.append((*move, trials))
+            m, without, _, cands, _, trials = rng.choice(moves)
             # Fresh regions now and then, so that moves empty regions too.
             picks = range(len(cands))
             fresh = [i for i in picks if cands[i].new_region]
@@ -368,9 +392,9 @@ class TestMoveBase:
 
     def test_delta_equals_evaluate_on_random_walks(self, chip):
         seen = set()
-        self.walk(chip, "t10-1", 1, 20, seen)
-        self.walk(chip, "t10-2", 2, 20, seen)
-        self.walk(chip, "t30-1", 3, 20, seen)
+        self.walk(chip, "t10-1", 1, 10, seen)
+        self.walk(chip, "t10-2", 2, 10, seen)
+        self.walk(chip, "t30-1", 3, 10, seen)
         assert seen >= {"region emptied", "layer emptied",
                         ("corner", True, True), ("corner", True, False),
                         ("corner", False, True), ("corner", False, False),
@@ -407,7 +431,7 @@ def test_float_sums_run_left_to_right(chip):
     back = [c for c in enumerate_insertions(base.pst, "m11", g)
             if not c.new_layer and c.ps_pos == c.qs_pos == 10][0]
     back.shape = Shape(2, 5)
-    assert MoveBase(base, "m11").costs(back).cost.comm_raw == comm
+    assert base.costs("m11", back).cost.comm_raw == comm
 
 
 def test_replays_shared_only_by_equal_configuration_sums(chip):
@@ -421,7 +445,7 @@ def test_replays_shared_only_by_equal_configuration_sums(chip):
     w = CostWeights().resolve(g, chip)
     pst = single_layer_pst(["m1", "m2"])
     shapes = {m: Shape(2, 5) for m in ("m1", "m2", "m3")}
-    move = MoveBase(plan_state(pst, shapes, g, chip, w), "m3")
+    base = plan_state(pst, shapes, g, chip, w)
     makespans = set()
     for cand in enumerate_insertions(pst, "m3", g):
         if cand.new_layer:
@@ -429,7 +453,7 @@ def test_replays_shared_only_by_equal_configuration_sums(chip):
         cand.shape = Shape(2, 5)
         expect = evaluate(apply_candidate(pst, "m3", cand), shapes, g, chip,
                           w).costs
-        assert move.costs(cand).cost == expect
+        assert base.costs("m3", cand).cost == expect
         makespans.add(expect.makespan)
     assert len(makespans) == 2
 

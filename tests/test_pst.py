@@ -7,8 +7,7 @@ from helpers import (layered_pst, make_graph, random_pst, rects_overlap,
                      single_layer_pst, uniform_shapes)
 from pdrplan.chip import Rect, builtin_xc7vx485t
 from pdrplan.pst import (BOUNDARY_PENALTY, CostWeights, PST, comm_cost,
-                         evaluate, hetero_cost, is_feasible, pack, schedule,
-                         validate)
+                         evaluate, hetero_cost, pack, schedule, validate)
 from pdrplan.shapes import Shape
 from pdrplan.taskgraph import Edge, TaskGraph, TaskModule
 
@@ -46,6 +45,15 @@ class TestValidate:
         pst = PST(ps=["m1", "m2"], qs=["m1", "m2"], rs=[(0, 0)],
                   partition={"m1": (0, 0), "m2": (0, 1)})
         assert any("missing from rs" in v for v in validate(pst, g))
+
+    def test_missing_modules(self):
+        """A PST must place every module of its graph: one that lacks a
+        module is reported, as one with an unknown module is."""
+        g = make_graph(3, edges=[("m1", "m2", 1.0)])
+        pst = single_layer_pst(["m1", "m2"])
+        assert validate(pst, g) == ["missing modules: m3"]
+        pst = single_layer_pst(["m2"])
+        assert validate(pst, g) == ["missing modules: m1, m3"]
 
     def test_non_contiguous_region_block(self):
         g = make_graph(3)
@@ -167,13 +175,15 @@ class TestPack:
                 assert box.h == max(heights[region])
 
     def test_is_feasible_boundary(self, chip):
-        pst = single_layer_pst(["m1"])
-        p = pack(pst, {"m1": Shape(146, 350)})
-        assert is_feasible(p, chip)
-        p2 = pack(single_layer_pst(["m1", "m2"]),
-                  {"m1": Shape(146, 5), "m2": Shape(1, 5)})
-        assert p2.x_max == 147
-        assert not is_feasible(p2, chip)
+        w = CostWeights()
+        sol = evaluate(single_layer_pst(["m1"]), {"m1": Shape(146, 350)},
+                       make_graph(1), chip, w)
+        assert sol.feasible and sol.costs.feasible
+        sol = evaluate(single_layer_pst(["m1", "m2"]),
+                       {"m1": Shape(146, 5), "m2": Shape(1, 5)},
+                       make_graph(2), chip, w)
+        assert sol.placement.x_max == 147
+        assert not sol.feasible and not sol.costs.feasible
 
 
 class TestSchedule:
