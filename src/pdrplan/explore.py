@@ -16,12 +16,13 @@ all scored (no more than MAX_CANDIDATES of them, so none is sampled) draws
 no random number: its top list and winner depend only on the plan and the
 module.  The chain keeps such moves per module and reuses them until an
 accepted winner changes the plan.  Sampled moves are not kept, as each
-depends on its sample.  Rough estimates are
-computed once per class of insertion points that share them (the same
-target layer or region side, the same configuration slot) rather than
-once per point, and only for points whose lower bound can still reach
-the best few.  A fresh layer is scored as an empty layer, and a region as
-its largest layer.
+depends on its sample.
+
+The rough score of a point depends only on its class: its target (the
+grown or fresh layer, or a fresh region on its side of the design) and
+its configuration slot.  Each class is scored once, and only if its lower
+bound can still reach the best few.  A fresh layer is scored as an empty
+layer, and a region as its largest layer.
 """
 
 from __future__ import annotations
@@ -62,11 +63,12 @@ class SAConfig:
     min_temperature as 1e-3 x initial.  time_limit bounds the probe moves
     as well as the annealing proper.  Each move samples at most
     MAX_CANDIDATES insertion points and re-costs the ROUGH_KEEP_K with the
-    best rough scores exactly; RoughEvaluator.best finds those without
-    scoring the points a bound rules out.  A move that sampled nothing is
-    computed once per plan and module and kept until the plan changes; the
-    random stream is drawn as if it were recomputed, so results do not
-    depend on the reuse.  anneal runs one chain, seeded
+    best rough scores exactly; RoughEvaluator.best scores each class of
+    points once and skips the classes a bound rules out.  A probe move
+    costs one point of its top list, drawn at random.  A move that sampled
+    nothing is computed once per plan and module and kept until the plan
+    changes; the random stream is drawn as if it were recomputed, so
+    results do not depend on the reuse.  anneal runs one chain, seeded
     with seed; PipelineConfig.runs repeats it with seeds seed, seed + 1,
     ...
     """
@@ -104,7 +106,6 @@ class Candidate:
     new_layer: bool
     new_region: bool
     shape: Shape | None = None
-    score: float = math.inf
 
 
 @dataclass(frozen=True)
@@ -156,22 +157,21 @@ def initial_solution(g: TaskGraph, shape_lists: dict, chip: ChipModel) -> PST:
 
 
 class Insertions(Sequence):
-    """The insertion points of one move, each built on first access.
+    """The insertion points of one move, each built when read.
 
     A block (layer, new_layer, new_region, i, j, t, nj, nt, size) holds
     the points of one target in order: its point k has ps_pos i + k //
-    (nj * nt), qs_pos j + k // nt % nj and rs_pos t + k % nt.  A point is
-    built once, so seq[k] is seq[k]; random.sample and choice only call
-    len and index, and draw from it as from the list of every point.
+    (nj * nt), qs_pos j + k // nt % nj and rs_pos t + k % nt.  Every read
+    builds a new point.  random.sample and choice only call len and index,
+    and draw from it as from the list of every point.
     """
 
     def __init__(self, blocks):
         self._blocks = [b for b in blocks if b[-1]]
         self._ends = list(accumulate(b[-1] for b in self._blocks))
-        self._built = [None] * (self._ends[-1] if self._ends else 0)
 
     def __len__(self):
-        return len(self._built)
+        return self._ends[-1] if self._ends else 0
 
     @staticmethod
     def _build(block, k):
@@ -180,24 +180,17 @@ class Insertions(Sequence):
                          new_layer, new_region)
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        cand = self._built[k]
-        if cand is None:
-            k %= len(self._built)
-            b = bisect_right(self._ends, k)
-            cand = self._built[k] = self._build(
-                self._blocks[b], k - self._ends[b - 1] if b else k)
-        return cand
+        n = len(self)
+        if not -n <= k < n:
+            raise IndexError("insertion point index out of range")
+        k %= n
+        b = bisect_right(self._ends, k)
+        return self._build(self._blocks[b], k - self._ends[b - 1] if b else k)
 
     def __iter__(self):
-        built, k = self._built, 0
         for block in self._blocks:
-            for off in range(block[-1]):
-                if built[k] is None:
-                    built[k] = self._build(block, off)
-                yield built[k]
-                k += 1
+            for k in range(block[-1]):
+                yield self._build(block, k)
 
 
 def enumerate_insertions(pst: PST, m: str, g: TaskGraph) -> Insertions:
@@ -280,23 +273,23 @@ class RoughEvaluator:
     from the move's base (delta.PlanState of the PST without the moved
     module), from which accurate_evaluate costs the survivors exactly.
 
-    Each estimate depends on a few fields of a candidate only, so it is
-    computed once per class of candidates and shared by the class.  The
-    shape choice and area term depend on the target alone: a layer of an
-    existing region, or a fresh region on its side of the design.  The
-    schedule term depends on (layer, rs_pos): the candidate's step starts
-    from the base recurrence's state before that rs position, kept per
-    step, and the steps after it are replayed.  Shared values are the same
-    floats a per-candidate computation gives.  best ranks a move's
-    candidates and scores only those a bound cannot rule out.
+    A candidate's estimates depend only on its class (target, rs_pos).
+    The target is the grown or fresh layer, or (None, side) for a fresh
+    region, where side is True on the design's row and False on its
+    column.  The shape choice and area term depend on the target alone and
+    are kept per target.  The schedule term starts the candidate's step
+    from the base recurrence's state before rs_pos, kept per step, and
+    replays the steps after it.  best scores each class once and only the
+    classes a bound cannot rule out; evaluate scores one candidate and
+    keeps nothing.
     """
 
-    def __init__(self, base: PlanState, moved: str):
+    def __init__(self, base: PlanState, moved: str, shape_list: ShapeList):
         self.pst = pst = base.pst
         self.shapes = base.shapes
         self.g = g = base.g
         self.w = base.w
-        self.moved = moved
+        self.moved, self.shape_list = moved, shape_list
         self.x_base, self.y_base = base.x_max, base.y_max
         self.layer_sizes = base.sizes
         self.region_w, self.region_h = base.width, base.height
@@ -331,9 +324,7 @@ class RoughEvaluator:
         self.moved_exec = g.exec_times[moved]
 
         self._extent_cache: dict = {}  # region -> (A_x, B_x, A_y, B_y)
-        self._shape_list = None
         self._fits: dict = {}  # target -> (shape, weighted area term)
-        self._sched_terms: dict = {}  # (layer, rs_pos) -> term
 
     def _extents(self, r, size_x, size_y):
         """Design extents with region r resized to size_x by size_y."""
@@ -386,8 +377,14 @@ class RoughEvaluator:
                 makespan = end
         return makespan
 
-    def _extents_of(self, cand: Candidate, shapes) -> list:
-        """Estimated design extents (x, y) of the candidate with each shape.
+    def _target(self, cand: Candidate):
+        """The layer the candidate grows or adds, or (None, side)."""
+        if cand.new_region:
+            return None, cand.ps_pos == cand.qs_pos or not self.pst.ps
+        return cand.layer
+
+    def _extents_of(self, target, shapes) -> list:
+        """Estimated design extents (x, y) at the target with each shape.
 
         A fresh region extends the design's row (left and right corners)
         or its column.  A layer grows side by side or stacked, whichever
@@ -395,12 +392,12 @@ class RoughEvaluator:
         target's sizes and region coefficients are read once.
         """
         xb, yb = self.x_base, self.y_base
-        if cand.new_region:
-            if cand.ps_pos == cand.qs_pos or not self.pst.ps:
+        region = target[0]
+        if region is None:
+            if target[1]:
                 return [(xb + s.w, yb if yb > s.h else s.h) for s in shapes]
             return [(xb if xb > s.w else s.w, yb + s.h) for s in shapes]
-        region = cand.layer[0]
-        lw, lh = self.layer_sizes.get(cand.layer, (0, 0))
+        lw, lh = self.layer_sizes.get(target, (0, 0))
         rw, rh = self.region_w[region], self.region_h[region]
         ax, bx, ay, by = self._region_coeffs(region)
         out = []
@@ -414,83 +411,67 @@ class RoughEvaluator:
             out.append((ax if ax > x else x, ay if ay > y else y))
         return out
 
-    def _best_shape(self, cand: Candidate, shape_list: ShapeList):
-        """Shape minimizing the estimated design area (ties: smaller shape
-        area, then the first) and its weighted, normalized area term."""
-        shapes = shape_list.shapes
-        best = None
-        for shape, (x, y) in zip(shapes, self._extents_of(cand, shapes)):
-            area = x * y
-            if (best is None or area < best_area
-                    or (area == best_area and shape.area < best.area)):
-                best, best_area = shape, area
-        return best, self.w.alpha * best_area / self.w.area_norm
-
-    def _fit(self, cand: Candidate, shape_list: ShapeList):
-        """The best shape of the candidate's target and its area term,
-        computed on first use."""
-        if shape_list is not self._shape_list:
-            self._shape_list = shape_list
-            self._fits = {}
-        if cand.new_region:
-            target = (None, cand.ps_pos == cand.qs_pos or not self.pst.ps)
-        else:
-            target = cand.layer
+    def _fit(self, target):
+        """The shape minimizing the estimated design area at the target
+        (ties: smaller shape area, then the first) and its weighted,
+        normalized area term, computed on first use."""
         fit = self._fits.get(target)
         if fit is None:
-            fit = self._fits[target] = self._best_shape(cand, shape_list)
+            shapes = self.shape_list.shapes
+            best = None
+            for shape, (x, y) in zip(shapes, self._extents_of(target, shapes)):
+                area = x * y
+                if (best is None or area < best_area
+                        or (area == best_area and shape.area < best.area)):
+                    best, best_area = shape, area
+            fit = self._fits[target] = (
+                best, self.w.alpha * best_area / self.w.area_norm)
         return fit
 
-    def evaluate(self, cand: Candidate, shape_list: ShapeList):
-        """Choose the best shape for this candidate and score it.
+    def evaluate(self, cand: Candidate):
+        """(shape, score) of the candidate: the shape minimizes the
+        estimated whole-design area (ties: smaller shape area), and the
+        score adds the schedule estimate with the cost weights, both
+        normalized."""
+        shape, area = self._fit(self._target(cand))
+        return shape, area + (self.w.beta * self._sched_estimate(cand)
+                              / self.w.schedule_norm)
 
-        The shape minimizes the estimated whole-design area (ties: smaller
-        shape area); the score adds the schedule estimate with the cost
-        weights, both normalized.  Both parts come from the candidate's
-        classes, computed on first use.
-        """
-        fit = self._fit(cand, shape_list)
-        when = (cand.layer, cand.rs_pos)
-        sched = self._sched_terms.get(when)
-        if sched is None:
-            sched = self._sched_terms[when] = (
-                self.w.beta * self._sched_estimate(cand) / self.w.schedule_norm)
-        return fit[0], fit[1] + sched
-
-    def best(self, cands, shape_list: ShapeList, k: int) -> list:
+    def best(self, cands, k: int) -> list:
         """The k candidates with the least scores, in (score, position)
         order: the first k of a stable sort by evaluate's score.  Each of
-        them gets its shape and score.
+        them gets its shape.
 
-        A candidate's score is at least its area term plus the schedule
-        term of max(base makespan, end of its own step): a grown or
-        inserted step can only delay every later layer end, as conf_time
-        >= 0, exec_time > 0, beta >= 0 and IEEE addition, max and division
-        are monotone.  Candidates are scored in (bound, position) order
+        The members of a class share their score.  A class's score is at
+        least its area term plus the schedule term of max(base makespan,
+        end of its own step): a grown or inserted step can only delay every
+        later layer end, as conf_time >= 0, exec_time > 0, beta >= 0 and
+        IEEE addition, max and division are monotone.  Classes are scored,
+        evaluate on their first member, in (bound, first position) order
         until a bound passes the k-th best (score, position) so far; no
-        candidate left can then enter the top k (the threshold rule of
-        Fagin, Lotem and Naor, PODS 2001).
+        class left can then enter the top k (the threshold rule of Fagin,
+        Lotem and Naor, PODS 2001).  Of a scored class, only the first k
+        members can.
         """
         w, base = self.w, self._spans[-1]
-        bounds = []
-        by_class: dict = {}  # (layer, rs_pos, side) fixes target and bound
+        classes: dict = {}  # (target, rs_pos) -> member positions
         for i, cand in enumerate(cands):
-            cls = (cand.layer, cand.rs_pos, cand.ps_pos == cand.qs_pos)
-            bound = by_class.get(cls)
-            if bound is None:
-                end = self._own_step(cand.layer, cand.rs_pos)[1]
-                bound = by_class[cls] = (
-                    self._fit(cand, shape_list)[1]
-                    + w.beta * (end if end > base else base) / w.schedule_norm)
-            bounds.append((bound, i))
-        bounds.sort()
+            classes.setdefault((self._target(cand), cand.rs_pos), []).append(i)
+        ranked = []  # (bound, first position, member positions)
+        for (target, t), members in classes.items():
+            end = self._own_step(cands[members[0]].layer, t)[1]
+            ranked.append((self._fit(target)[1] + w.beta * (
+                end if end > base else base) / w.schedule_norm, members[0],
+                members))
+        ranked.sort()
         top = []  # (score, position), ascending
-        for bound, i in bounds:
-            if len(top) == k and (bound, i) > top[-1]:
+        for bound, first, members in ranked:
+            if len(top) == k and (bound, first) > top[-1]:
                 break
-            cand = cands[i]
-            cand.shape, cand.score = self.evaluate(cand, shape_list)
-            insort(top, (cand.score, i))
+            shape, score = self.evaluate(cands[first])
+            for i in members[:k]:
+                cands[i].shape = shape
+                insort(top, (score, i))
             del top[k:]
         return [cands[i] for _, i in top]
 
@@ -532,29 +513,20 @@ def accept_move(delta: float, temperature: float, rng: random.Random) -> bool:
 
 class _Move:
     """One move from the chain's current plan: module m, its base (the
-    plan without m) and its rough top list.  The exact winner and each
-    probe's cost are computed on first request and then kept."""
+    plan without m) and its rough top list.  The exact winner is computed
+    on first request and then kept."""
 
-    __slots__ = ("m", "base", "top", "_winner", "_probes")
+    __slots__ = ("m", "base", "top", "_winner")
 
     def __init__(self, m, base, top):
         self.m, self.base, self.top = m, base, top
         self._winner = None
-        self._probes: dict = {}  # index in top -> its exact cost
 
     def winner(self):
         """accurate_evaluate's result over the whole top list."""
         if self._winner is None:
             self._winner = accurate_evaluate(self.base, self.m, self.top)
         return self._winner
-
-    def probe(self, i):
-        """The exact cost of top[i] alone."""
-        cost = self._probes.get(i)
-        if cost is None:
-            cost = self._probes[i] = accurate_evaluate(
-                self.base, self.m, [self.top[i]])[2]
-        return cost
 
 
 class _Chain:
@@ -566,7 +538,8 @@ class _Chain:
     draw of that module reuses them.  A sampled move depends on its sample
     and is not kept, which also keeps the bases of large plans, where most
     moves sample, out of memory.  moves is cleared whenever an accepted
-    winner changes the plan.
+    winner changes the plan.  A probe move costs the top entry it draws on
+    every draw, as a kept move keeps only its top list and winner.
     """
 
     def __init__(self, g, shape_lists, chip, cfg, weights, deadline):
@@ -609,8 +582,8 @@ class _Chain:
         n = len(points)
         cands = ([points[i] for i in self.rng.sample(range(n), MAX_CANDIDATES)]
                  if n > MAX_CANDIDATES else list(points))
-        move = _Move(m, base, RoughEvaluator(base, m).best(
-            cands, self.lists[m], ROUGH_KEEP_K))
+        move = _Move(m, base, RoughEvaluator(base, m, self.lists[m]).best(
+            cands, ROUGH_KEEP_K))
         if n <= MAX_CANDIDATES:
             self.moves[m] = move
         return move
@@ -623,8 +596,8 @@ class _Chain:
             if self._past_deadline():
                 break
             move = self._random_move()
-            # choice over the indices draws as choice over top itself.
-            cost = move.probe(self.rng.choice(range(len(move.top))))
+            cost = accurate_evaluate(move.base, move.m,
+                                     [self.rng.choice(move.top)])[2]
             d = abs(cost.total - self.cost.total)
             if d > 1e-12:
                 deltas.append(d)

@@ -50,8 +50,8 @@ class ShapeGenConfig:
     gamma_ar: float = 1.5
 
     def __post_init__(self):
-        if not self.n >= 1:
-            raise ValueError("n must be >= 1")
+        if not (isinstance(self.n, int) and self.n >= 1):
+            raise ValueError("n must be an int >= 1")
         if not self.gamma_ar >= 1.0:
             raise ValueError("gamma_ar must be >= 1")
 

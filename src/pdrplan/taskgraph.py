@@ -304,8 +304,8 @@ class BenchSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.module_count >= 1:
-            raise ValueError("module_count must be >= 1")
+        if not (isinstance(self.module_count, int) and self.module_count >= 1):
+            raise ValueError("module_count must be an int >= 1")
         if not 0 <= self.edge_density < math.inf:
             raise ValueError("edge_density must be finite and >= 0")
         for name in ("exec_range", "edge_weight_range", "clb_range",

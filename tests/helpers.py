@@ -181,6 +181,31 @@ def brute_force_best_objective(pst, lists, chip):
     return None if key is None else key[0]
 
 
+def stacked_repair_instance(seed):
+    """A vertical stack whose recorded shapes overflow the chip height,
+    while wider/flatter alternates verifiably fit."""
+    rng = random.Random(seed)
+    k = rng.randint(3, 6)
+    ids = [f"m{i}" for i in range(1, k + 1)]
+    g = TaskGraph([TaskModule(m, ResourceVector(1, 0, 0), 10.0, 1.0)
+                   for m in ids], [])
+    # ps reversed vs qs: every pair is a vertical relation (a stack)
+    key = (0, 0)
+    pst = PST(ps=list(reversed(ids)), qs=ids, rs=[key],
+              partition={m: key for m in ids})
+    tall_h = 5 * rng.randint((350 // k) // 5 + 1, (500 // k) // 5 + 1)
+    lists = {}
+    for m in ids:
+        tall = Shape(rng.randint(4, 10), tall_h)
+        flat = Shape(rng.randint(20, 30), 5 * ((350 // k) // 5))
+        ordered = sorted({tall, flat}, key=lambda s: (s.area, s.w))
+        lists[m] = ShapeList(m, tuple(ordered))
+    # the recorded exploration state: everybody tall
+    shapes = {m: next(s for s in lists[m].shapes if s.h == tall_h)
+              for m in ids}
+    return g, pst, lists, shapes
+
+
 class _ReferenceSearch(_Search):
     """The branch and bound over the full relations with the plain bound:
     every sequence-pair relation is a longest-path edge, each node's
@@ -219,16 +244,17 @@ def reference_solve(model, time_limit=None):
     return _ReferenceSearch(model, time_limit).run()
 
 
-def exact_rough_evaluate(ev, cand, shape_list):
+def exact_rough_evaluate(ev, cand):
     """(shape, score) of a candidate with every shape packed and scheduled.
 
     The rough evaluator's shape choice and score, computed exactly: each
-    shape of the list is applied, the PST packed and scheduled for real.
+    shape of the evaluator's list is applied, the PST packed and scheduled
+    for real.
     """
     best = None
     new_pst = apply_candidate(ev.pst, ev.moved, cand)
     s = schedule(new_pst, ev.g)
-    for shape in shape_list.shapes:
+    for shape in ev.shape_list.shapes:
         shapes = dict(ev.shapes)
         shapes[ev.moved] = shape
         p = pack(new_pst, shapes)
@@ -241,7 +267,7 @@ def exact_rough_evaluate(ev, cand, shape_list):
     return shape, score
 
 
-def per_candidate_rough(ev, cand, shape_list):
+def per_candidate_rough(ev, cand):
     """(shape, score) of one candidate, computed without any class sharing.
 
     Scores every shape through the evaluator's extent estimate and runs
@@ -274,8 +300,8 @@ def per_candidate_rough(ev, cand, shape_list):
         if layer_end > makespan:
             makespan = layer_end
     best = None
-    for shape in shape_list.shapes:
-        (x, y), = ev._extents_of(cand, [shape])
+    for shape in ev.shape_list.shapes:
+        (x, y), = ev._extents_of(ev._target(cand), [shape])
         key = (x * y, shape.area)
         if best is None or key < best[0]:
             best = (key, shape, x * y)

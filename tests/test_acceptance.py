@@ -10,7 +10,7 @@ import time
 import pytest
 
 from helpers import (brute_force_best_objective, layered_pst, random_pst,
-                     rects_overlap)
+                     rects_overlap, stacked_repair_instance)
 from pdrplan.chip import Rect, ResourceVector, builtin_xc7vx485t
 from pdrplan.explore import SAConfig, anneal, initial_solution
 from pdrplan.ilp import build_model, solve
@@ -254,32 +254,6 @@ def test_criterion_7_ilp_exactness():
     assert elapsed <= 300.0
     print(f"[criterion 7] PASS: {solved} optima match the exhaustive oracle "
           f"({infeasible} provably infeasible), {elapsed:.1f}s")
-
-
-def stacked_repair_instance(seed):
-    """A vertical stack whose recorded shapes overflow the chip height,
-    while wider/flatter alternates verifiably fit."""
-    rng = random.Random(seed)
-    k = rng.randint(3, 6)
-    ids = [f"m{i}" for i in range(1, k + 1)]
-    g = TaskGraph([TaskModule(m, ResourceVector(1, 0, 0), 10.0, 1.0)
-                   for m in ids], [])
-    # ps reversed vs qs: every pair is a vertical relation (a stack)
-    key = (0, 0)
-    pst = PST(ps=list(reversed(ids)), qs=ids, rs=[key],
-              partition={m: key for m in ids})
-    tall_h = 5 * rng.randint((350 // k) // 5 + 1, (500 // k) // 5 + 1)
-    lists = {}
-    for m in ids:
-        tall = Shape(rng.randint(4, 10), tall_h)
-        flat = Shape(rng.randint(20, 30), 5 * ((350 // k) // 5))
-        ordered = sorted({tall, flat}, key=lambda s: (s.area, s.w))
-        lists[m] = ShapeList(m, tuple(ordered))
-    tall_shapes = {m: Shape(lists[m].shapes[0].w, tall_h) for m in ids}
-    # the recorded exploration state: everybody tall
-    shapes = {m: next(s for s in lists[m].shapes if s.h == tall_h)
-              for m in ids}
-    return g, pst, lists, shapes
 
 
 def test_criterion_8_postopt_repair():

@@ -144,8 +144,7 @@ class TestEnumerateInsertions:
 
     def test_lazy_points_equal_eager_oracle(self, chip):
         """The sequence has the oracle's length and points, field by field,
-        whether read by index, by slice or by iteration, and builds each
-        point once."""
+        whether read by index or by iteration."""
         g = make_graph(3, edges=[("m1", "m3", 1.0), ("m3", "m2", 1.0)])
         two_layers = PST(ps=["m1", "m2"], qs=["m1", "m2"], rs=[(0, 0), (0, 1)],
                          partition={"m1": (0, 0), "m2": (0, 1)})
@@ -160,11 +159,8 @@ class TestEnumerateInsertions:
             n = len(eager)
             assert len(lazy) == n > 0
             k = rng.randrange(n)
-            assert lazy[k] == eager[k]
-            assert lazy[k] is lazy[k] and lazy[k - n] is lazy[k]
-            assert lazy[k // 2:k + 3] == eager[k // 2:k + 3]
+            assert lazy[k] == lazy[k - n] == eager[k]
             assert list(lazy) == eager
-            assert all(a is lazy[i] for i, a in enumerate(lazy))
             for bad in (n, -n - 1):
                 with pytest.raises(IndexError):
                     lazy[bad]
@@ -189,27 +185,30 @@ class TestBest:
                                             ("t50-1", 3)])
     def test_best_equals_stable_sort_of_every_score(self, chip, name, seed):
         """best(k) returns the first k candidates of a stable sort by
-        evaluate's score, with their shapes and scores, and scores fewer
-        candidates than there are on some moves."""
+        evaluate's score, with their shapes.  It calls evaluate at most
+        once per (target, rs_pos) class, and on some moves for fewer
+        classes than there are."""
         pruned = 0
         for g, lists, without, shapes, m, cands in walk_moves(chip, name,
                                                              seed, 20):
             base = plan_state(without, shapes, g, chip,
                               CostWeights().resolve(g, chip))
-            oracle = RoughEvaluator(base, m)
-            scored = [oracle.evaluate(c, lists[m]) for c in cands]
+            oracle = RoughEvaluator(base, m, lists[m])
+            scored = [oracle.evaluate(c) for c in cands]
             order = sorted(range(len(cands)), key=lambda i: scored[i][1])
+            classes = {(oracle._target(c), c.rs_pos) for c in cands}
             for k in (1, ROUGH_KEEP_K, len(cands)):
-                ev = RoughEvaluator(base, m)
+                ev = RoughEvaluator(base, m, lists[m])
                 calls = []
-                ev.evaluate = lambda c, sl, f=ev.evaluate: (calls.append(c)
-                                                            or f(c, sl))
-                top = ev.best(cands, lists[m], k)
+                ev.evaluate = lambda c, f=ev.evaluate: calls.append(
+                    (ev._target(c), c.rs_pos)) or f(c)
+                top = ev.best(cands, k)
                 assert len(top) == min(k, len(cands))
                 assert all(c is cands[i] for c, i in zip(top, order))
-                assert [(c.shape, c.score) for c in top] == [
-                    scored[i] for i in order[:k]]
-                pruned += len(calls) < len(cands)
+                assert [c.shape for c in top] == [
+                    scored[i][0] for i in order[:k]]
+                assert len(set(calls)) == len(calls) <= len(classes)
+                pruned += len(calls) < len(classes)
         assert pruned
 
 
@@ -221,8 +220,9 @@ class TestRoughEvaluate:
         without = pst.without("m2")
         cands = enumerate_insertions(without, "m2", g)
         ev = RoughEvaluator(plan_state(without, {"m1": Shape(6, 10)}, g, chip,
-                                       CostWeights().resolve(g, chip)), "m2")
-        shape, score = ev.evaluate(cands[0], lists["m2"])
+                                       CostWeights().resolve(g, chip)), "m2",
+                            lists["m2"])
+        shape, score = ev.evaluate(cands[0])
         assert shape == Shape(6, 10)
         assert math.isfinite(score)
 
@@ -234,9 +234,10 @@ class TestRoughEvaluate:
         shapes = {m: lists[m].shapes[0] for m in g.module_ids}
         for m in list(g.module_ids)[:3]:
             without = pst.without(m)
-            ev = RoughEvaluator(plan_state(without, shapes, g, chip, w), m)
-            for cand in enumerate_insertions(without, m, g)[:10]:
-                shape, score = exact_rough_evaluate(ev, cand, lists[m])
+            ev = RoughEvaluator(plan_state(without, shapes, g, chip, w), m,
+                                lists[m])
+            for cand in list(enumerate_insertions(without, m, g))[:10]:
+                shape, score = exact_rough_evaluate(ev, cand)
                 applied = apply_candidate(without, m, cand)
                 trial = dict(shapes)
                 trial[m] = shape
@@ -256,12 +257,12 @@ class TestRoughEvaluate:
                   partition={"m1": (0, 0)})
         shapes = {"m1": Shape(140, 345)}
         w = CostWeights(beta=0, gamma_comm=0, lambda_=0).resolve(g, chip)
-        ev = RoughEvaluator(plan_state(pst, shapes, g, chip, w), "m2")
         m2_list = ShapeList("m2", (Shape(5, 100), Shape(100, 5)))
+        ev = RoughEvaluator(plan_state(pst, shapes, g, chip, w), "m2", m2_list)
         above = [c for c in enumerate_insertions(pst, "m2", g)
                  if not c.new_layer and c.ps_pos == 0 and c.qs_pos == 1][0]
-        for score in (ev.evaluate, lambda *a: exact_rough_evaluate(ev, *a)):
-            shape, _ = score(above, m2_list)
+        for score in (ev.evaluate, lambda c: exact_rough_evaluate(ev, c)):
+            shape, _ = score(above)
             assert shape == Shape(100, 5)
 
 
@@ -288,7 +289,7 @@ class TestAccurateEvaluate:
         shapes = {m: lists[m].shapes[0] for m in g.module_ids}
         m = list(g.module_ids)[0]
         without = pst.without(m)
-        cands = enumerate_insertions(without, m, g)[:6]
+        cands = list(enumerate_insertions(without, m, g))[:6]
         for c in cands:
             c.shape = lists[m].shapes[0]
         best_cost = accurate_evaluate(plan_state(without, shapes, g, chip, w),
@@ -359,7 +360,7 @@ class TestPlanState:
                     seen.add("layer emptied")
                 base = state.without(m)
                 assert_same_state(base, without, shapes, g, chip, w)
-                cands = enumerate_insertions(without, m, g)
+                cands = list(enumerate_insertions(without, m, g))
                 expect = []
                 for cand in cands:
                     cand.shape = rng.choice(lists[m].shapes)
@@ -422,7 +423,7 @@ def test_float_sums_run_left_to_right(chip):
     shapes = {m: Shape(2, 5) for m in pst.ps}
     state = plan_state(pst, shapes, g, chip, w)
     base = state.without("m11")
-    ev = RoughEvaluator(base, "m11")
+    ev = RoughEvaluator(base, "m11", ShapeList("m11", (Shape(2, 5),)))
     assert ev.conf_sum[(0, 0)] == left_to_right(10)
     # Each edge spans one 2-wide slot of the row: ten terms of 0.1 * 2.
     assert state.terms == [0.1 * 2] * 10
@@ -625,9 +626,8 @@ class TestKeptMoves:
             if kept.get(move.m) is move:
                 m = move.m
                 base = chain.state.without(m)
-                top = RoughEvaluator(base, m).best(
-                    list(enumerate_insertions(base.pst, m, g)), lists[m],
-                    ROUGH_KEEP_K)
+                top = RoughEvaluator(base, m, lists[m]).best(
+                    list(enumerate_insertions(base.pst, m, g)), ROUGH_KEEP_K)
                 assert move.top == top
                 assert move.winner()[2] == accurate_evaluate(base, m, top)[2]
                 hits.append(m)

@@ -199,7 +199,7 @@ def random_move(name, seed):
     m = rng.choice(ids)
     without = pst.without(m)
     w = CostWeights().resolve(g, CHIP)
-    ev = RoughEvaluator(plan_state(without, shapes, g, CHIP, w), m)
+    ev = RoughEvaluator(plan_state(without, shapes, g, CHIP, w), m, lists[m])
     return g, lists, without, shapes, m, ev
 
 
@@ -213,8 +213,7 @@ def test_class_scores_equal_per_candidate_scores(name, seed):
     """Every candidate of a random move gets the per-candidate (shape, score)."""
     g, lists, without, _, m, ev = random_move(name, seed)
     for cand in enumerate_insertions(without, m, g):
-        assert ev.evaluate(cand, lists[m]) == per_candidate_rough(
-            ev, cand, lists[m])
+        assert ev.evaluate(cand) == per_candidate_rough(ev, cand)
 
 
 @MOVES
@@ -225,8 +224,8 @@ def test_rough_extents_equal_other_layer_scan(name, seed):
     g, lists, without, _, m, ev = random_move(name, seed)
     for cand in enumerate_insertions(without, m, g):
         for shape in lists[m].shapes:
-            assert ev._extents_of(cand, [shape]) == [reference_approx_extents(
-                ev, cand, shape)]
+            assert ev._extents_of(ev._target(cand), [shape]) == [
+                reference_approx_extents(ev, cand, shape)]
 
 
 @MOVES
@@ -240,7 +239,8 @@ def test_fresh_target_extents_equal_pack(name, seed):
         applied = apply_candidate(without, m, cand)
         for shape in lists[m].shapes:
             p = pack(applied, {**shapes, m: shape})
-            assert ev._extents_of(cand, [shape]) == [(p.x_max, p.y_max)]
+            assert ev._extents_of(ev._target(cand), [shape]) == [
+                (p.x_max, p.y_max)]
 
 
 @FAST

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import make_graph, single_layer_pst
+from helpers import make_graph, single_layer_pst, stacked_repair_instance
+from pdrplan import report
 from pdrplan.chip import builtin_xc7vx485t
 from pdrplan.explore import SAConfig, anneal, trace_csv
 from pdrplan.pst import CostWeights, PST, evaluate
@@ -153,6 +154,33 @@ def test_run_k_is_the_chain_of_seed_plus_k(chip, tmp_path):
     assert (tmp_path / "seed1.trace.csv").read_text() == trace_csv(trace)
 
 
+def test_pipeline_repairs_an_overflowing_plan(chip, tmp_path, monkeypatch):
+    """A run whose annealed plan overflows the chip goes through post-opt:
+    its record, runs.csv row and solution file show the repair, and the
+    summary's success rate rises from 0 % to 100 %."""
+    g, pst, _, shapes = stacked_repair_instance(0)
+
+    def overflowing(g, lists, chip, cfg):
+        return evaluate(pst, shapes, g, chip, cfg.weights.resolve(g, chip)), []
+
+    monkeypatch.setattr(report, "anneal", overflowing)
+    rep = run_pipeline(g, chip, PipelineConfig(runs=2, seed=3,
+                                               out_dir=str(tmp_path)))
+    w = CostWeights().resolve(g, chip)
+    for seed, r in zip((3, 4), rep.records):
+        assert (r.seed, r.feasible_before, r.feasible_after, r.repaired) == (
+            seed, False, True, True)
+        assert r.y_max <= chip.height and r.rrt is not None
+        fixed = load_solution(tmp_path / f"seed{seed}.solution", g, chip, w)
+        assert fixed.feasible and fixed.pst == pst
+    rows = (tmp_path / "runs.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:4] for row in rows] == [
+        ["3", "0", "1", "1"], ["4", "0", "1", "1"]]
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert summary[1:3] == ["success rate before post-opt: 0%",
+                            "success rate after post-opt:  100%"]
+
+
 def test_postoptimize_keeps_a_fitting_timeout_incumbent(chip):
     """With no time to search, the seed incumbent still repairs the plan."""
     name = "t10-2-s0"
@@ -187,12 +215,14 @@ def test_time_limits_reject_negative_and_nan(make):
     (lambda v: SAConfig(iterations_per_temperature=v),
      "iterations_per_temperature"),
     (lambda v: PipelineConfig(runs=v), "runs"),
-], ids=["SAConfig", "PipelineConfig"])
+    (lambda v: ShapeGenConfig(n=v), "n"),
+    (lambda v: replace(preset_spec("t10-1"), module_count=v), "module_count"),
+], ids=["SAConfig", "PipelineConfig", "ShapeGenConfig", "BenchSpec"])
 def test_counts_reject_non_integers(make, field):
-    """A fractional or NaN count would pass a >= 1 test and fail later in
-    range; it is refused where the config is built."""
-    for bad in (2.5, float("nan")):
-        with pytest.raises(ValueError, match=field):
+    """A fractional, NaN or infinite count would pass a >= 1 test and fail
+    later in range; it is refused where the config is built."""
+    for bad in (2.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^{field} must be an int"):
             make(bad)
     make(1)
 
