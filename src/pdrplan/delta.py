@@ -24,7 +24,7 @@ three of the states a move meets come from one edit of one layer:
 
 The edit repacks the changed layer alone (pst.pack_layer), and every
 other module keeps its position inside its region.  _place places the
-regions again (pst.region_offsets), shifts the centres of the regions
+regions again (pst.block_offsets), shifts the centres of the regions
 whose offset changed, places the repacked layer and recomputes the terms
 of the edges that touch a moved centre.  _replay runs the schedule
 (pst.run_layers) from the layer's rs slot: every successor of the edited
@@ -47,7 +47,8 @@ from bisect import bisect_left
 from functools import reduce
 from operator import add
 
-from .pst import costs_of, hetero_of, pack_layer, region_offsets, run_layers
+from .pst import (block_offsets, costs_of, hetero_of, layer_orders, pack_layer,
+                  run_layers)
 
 
 def _layer_sums(g, mods) -> tuple:
@@ -83,14 +84,9 @@ class PlanState:
         # point's replay
         self._memo: dict = {}
 
-        part = pst.partition
         self.sizes = dict(placement.layer_sizes)
         self.members = {k: tuple(v) for k, v in pst.layer_members.items()}
-        order: dict = {}
-        for x in topo:
-            if x in part:
-                order.setdefault(part[x], []).append(x)
-        self.order = {k: tuple(v) for k, v in order.items()}
+        self.order = {k: tuple(v) for k, v in layer_orders(pst, g).items()}
         self.exec_end = dict(timeline.exec_end)
         self.config_end = dict(timeline.config_end)
         self.makespan = timeline.makespan
@@ -121,18 +117,17 @@ class PlanState:
         new._memo = {}
         return new
 
-    def _place(self, ps, spans, width, height, r, layer, local_x, local_y,
-               shapes) -> tuple:
+    def _place(self, ps, spans, width, height, r, layer, packed, shapes):
         """The regions placed again with sizes width and height.
 
         spans are the region blocks' (ps spans, qs spans); a region they
         lack is gone.  Every kept region whose offset changed shifts its
         modules, listed in ps, and layer, repacked in region r, is placed
-        from local_x and local_y with its modules' shapes.  Every edge of
-        a moved module is recosted.  Returns (width, height, off_x, off_y,
-        x_max, y_max, cx, cy, terms).
+        from packed, its pack_layer result, with its modules' shapes.
+        Every edge of a moved module is recosted.  Returns (width, height,
+        off_x, off_y, x_max, y_max, cx, cy, terms).
         """
-        off_x, off_y = region_offsets(*spans, width, height)
+        off_x, off_y, x_max, y_max = block_offsets(*spans, width, height)
         cx, cy = dict(self.cx), dict(self.cy)
         moved = []
         old_y, region_ps = self.off_y, spans[0]
@@ -149,6 +144,7 @@ class PlanState:
                     cy[x] += dy
                 moved += block
         if layer:
+            local_x, local_y = packed[:2]
             x0, y0 = off_x[r] + 1, off_y[r] + 1
             for x in layer:
                 shape = shapes[x]
@@ -161,8 +157,6 @@ class PlanState:
             for i in incident[x]:
                 a, b, wt = edges[i]
                 terms[i] = wt * (abs(cx[a] - cx[b]) + abs(cy[a] - cy[b]))
-        x_max = max((off_x[q] + width[q] for q in off_x), default=0)
-        y_max = max((off_y[q] + height[q] for q in off_x), default=0)
         return width, height, off_x, off_y, x_max, y_max, cx, cy, terms
 
     def _replay(self, t: int, layers, placed) -> tuple:
@@ -224,14 +218,12 @@ class PlanState:
         new = self.pst.without(m)
         layer = tuple(x for x in self.members[key] if x != m)
         order = tuple(x for x in self.order[key] if x != m)
-        local_x: dict = {}
-        local_y: dict = {}
         width, height = dict(self.width), dict(self.height)
-        size = None
+        packed = size = None
         if layer:
             c, d = new.layer_spans[1][key]
-            size = pack_layer(layer, new.qs[c:d + 1], self.shapes, local_x,
-                              local_y)
+            packed = pack_layer(layer, new.qs[c:d + 1], self.shapes)
+            size = packed[2:]
         region_keys = new.region_layers.get(r)
         if region_keys:
             sizes = [size if k == key else self.sizes[k] for k in region_keys]
@@ -240,7 +232,7 @@ class PlanState:
         else:
             del width[r], height[r]
         placed = self._place(new.ps, new.region_spans, width, height, r,
-                             layer, local_x, local_y, self.shapes)
+                             layer, packed, self.shapes)
         cx, cy, terms = placed[6:]
         for i in self._incident[m]:
             terms[i] = None
@@ -270,9 +262,8 @@ class PlanState:
             by_q = (*pst.qs[c:j], m, *pst.qs[j:d + 1])
             shapes = {x: self.shapes[x] for x in layer if x != m}
             shapes[m] = cand.shape
-        local_x: dict = {}
-        local_y: dict = {}
-        size = pack_layer(layer, by_q, shapes, local_x, local_y)
+        packed = pack_layer(layer, by_q, shapes)
+        size = packed[2:]
         width, height = dict(self.width), dict(self.height)
         width[r] = max(width.get(r, 0), size[0])
         height[r] = max(height.get(r, 0), size[1])
@@ -284,7 +275,7 @@ class PlanState:
             qs_span = ({r: (-1, -1), **qs_span} if cand.qs_pos == 0
                        else {**qs_span, r: (end, end)})
         placed = self._place(pst.ps, (ps_span, qs_span), width, height, r,
-                             layer, local_x, local_y, shapes)
+                             layer, packed, shapes)
 
         conf = _layer_sums(self.g, layer)[0]
         done = self._memo.get((key, t, conf))

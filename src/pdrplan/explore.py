@@ -38,8 +38,8 @@ from itertools import accumulate
 from .chip import ChipModel
 from .errors import InfeasibleModuleError
 from .delta import PlanState
-from .pst import (CostWeights, PST, cost_from_parts, evaluate, pack,
-                  region_offsets, schedule)
+from .pst import (CostWeights, PST, block_offsets, cost_from_parts, evaluate,
+                  pack, schedule)
 from .shapes import Shape, ShapeList
 from .taskgraph import TaskGraph
 
@@ -259,7 +259,7 @@ class RoughEvaluator:
     and B the longest path into r plus the longest path out of it.  The
     region relations are transitive, so every path through r has a
     shortcut around it and A >= B.  Two calls of the shared region
-    longest path (pst.region_offsets) therefore give A and B exactly: with
+    longest path (pst.block_offsets) therefore give A and B exactly: with
     s = 0 the extent is A, and with s = A it is A + B.  The schedule
     estimate runs the configuration recurrence at layer granularity,
     ignoring cross-layer execution dependencies.
@@ -331,9 +331,7 @@ class RoughEvaluator:
         width = dict(self.region_w)
         height = dict(self.region_h)
         width[r], height[r] = size_x, size_y
-        off_x, off_y = region_offsets(*self.pst.region_spans, width, height)
-        return (max(off_x[a] + width[a] for a in off_x),
-                max(off_y[a] + height[a] for a in off_y))
+        return block_offsets(*self.pst.region_spans, width, height)[2:]
 
     def _region_coeffs(self, r):
         coeffs = self._extent_cache.get(r)
@@ -596,8 +594,7 @@ class _Chain:
             if self._past_deadline():
                 break
             move = self._random_move()
-            cost = accurate_evaluate(move.base, move.m,
-                                     [self.rng.choice(move.top)])[2]
+            cost = move.base.costs(move.m, self.rng.choice(move.top)).cost
             d = abs(cost.total - self.cost.total)
             if d > 1e-12:
                 deltas.append(d)
@@ -637,6 +634,8 @@ class _Chain:
                 iteration += 1
                 trace.append(TraceRow(iteration, t, self.cost.total,
                                       self.best[2].total))
+            if t * self.cfg.cooling_rate >= t:  # rounds back: a subnormal t
+                break
             t *= self.cfg.cooling_rate
         return trace
 
@@ -651,6 +650,13 @@ def anneal(g: TaskGraph, shape_lists: dict, chip: ChipModel,
     feasible=False, ready for post-optimization.  The chain starts from
     initial_solution, which always fits the chip, so today the result is
     always feasible (CHANGES.md FOUND on run_pipeline, ROADMAP item 5).
+
+    The lowest-cost state is not handed on when it overflows: rough
+    scoring ignores the boundary penalty (ROADMAP item 1), so that state
+    can be one no shape reselection repairs.  On generate(preset_spec(
+    "t10-2", seed=100)) with SAConfig(seed=0), it costs 6.898 and measures
+    188 x 155, 42 columns wider than the chip; solve proves it infeasible
+    in one node, and anneal returns the feasible start at 12.834 instead.
     """
     if g.has_unresolved_conf():
         raise ValueError("anneal needs resolved configuration times; "

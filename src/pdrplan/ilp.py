@@ -232,31 +232,29 @@ class _Search:
 
         A completion beating an incumbent of objective obj has
         X + Y <= S = W + H - obj, so X <= min(W, S - Y_lb) and
-        Y <= min(H, S - X_lb); with no incumbent only the chip caps
-        apply.  A shape of module i survives if the longest path through
-        it (head + size + tail under per-module minima) fits both caps.
-        Filtering repeats with the surviving shapes' minima until nothing
-        more goes; the bound is (W - X_lb) + (H - Y_lb) and minus the
-        least total area over the survivors.  A full assignment loses no
-        shape, so its bound is its own key.  The survivors feed only this
-        bound: branching still runs over allowed, so leaves are met in
-        the same order.
+        Y <= min(H, S - X_lb); with no incumbent S = W + H, which leaves
+        the chip caps.  A shape of module i survives if the longest path
+        through it (head + size + tail under per-module minima) fits both
+        caps.  Filtering repeats with the surviving shapes' minima until
+        nothing more goes; the bound is (W - X_lb) + (H - Y_lb) and minus
+        the least total area over the survivors.  A full assignment loses
+        no shape, so its bound is its own key.  The survivors feed only
+        this bound: branching still runs over allowed, so leaves are met
+        in the same order.
         """
         width, height = self.width, self.height
         dims = self.dims
         best = self.best_key
-        budget = None if best is None else width + height - best[0]
+        budget = width + height - (0 if best is None else best[0])
         shapes = allowed
         while True:
             (xext, _, xhead, wmin), (yext, _, yhead, hmin) = paths
             if xext > width or yext > height:
                 return None
-            xcap, ycap = width, height
-            if budget is not None:
-                if xext + yext > budget:
-                    return None
-                xcap = min(width, budget - yext)
-                ycap = min(height, budget - xext)
+            if xext + yext > budget:
+                return None
+            xcap = min(width, budget - yext)
+            ycap = min(height, budget - xext)
             xtail = self._longest(self.v_order, self.h_succs, wmin)
             ytail = self._longest(self.h_order, self.v_succs, hmin)
             kept_all = []

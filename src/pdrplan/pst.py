@@ -17,12 +17,14 @@ Packing evaluates the filtered sequence-pair relations by longest paths,
 as in plain sequence-pair floorplanning, but one layer at a time: since
 regions relate uniformly and layers of one region not at all, a module's
 longest path is its region's offset plus its position inside its own
-layer.  The region offsets come from one longest path over the
-region-level relations, region_offsets.  The annealing chain's kept
-state in delta shares it with the rough scoring in explore, and shares
-pack_layer, the schedule recurrence run_layers and the cost formula
-costs_of with pack, schedule and evaluate: a move repacks only the layer
-it changes and replays the schedule from that layer's rs slot.
+layer.  One sequence-pair longest path over blocks, block_offsets,
+gives both: the region offsets over the region blocks, and a layer's
+packing (pack_layer) over its modules as one-slot blocks.  The annealing
+chain's kept state in delta shares it with the rough scoring in explore,
+and shares the layer orders (layer_orders), the schedule recurrence
+run_layers and the cost formula costs_of with pack, schedule and
+evaluate: a move repacks only the layer it changes and replays the
+schedule from that layer's rs slot.
 """
 
 from __future__ import annotations
@@ -178,77 +180,63 @@ def block_spans(keys) -> dict:
     return spans
 
 
-def region_offsets(ps_span: dict, qs_span: dict, width: dict,
-                   height: dict) -> tuple:
-    """x and y offsets of every region: the region-level longest path.
+def block_offsets(ps_span: dict, qs_span: dict, width: dict,
+                  height: dict) -> tuple:
+    """The sequence-pair longest path over blocks (Murata et al., IEEE
+    TCAD 1996): each block's x and y offset, and the extents.
 
-    ps_span and qs_span are the region blocks' [first, last] indices in ps
-    and qs (PST.region_spans); width and height give each region's size.
-    Region a is left of b when a's block precedes b's in both sequences,
-    and below b when it follows b's in ps but precedes it in qs.  Regions
-    are visited in ps order for x and in qs order for y, which puts every
-    predecessor first.  Returns (off_x, off_y), dicts in those two orders.
+    ps_span and qs_span are the blocks' [first, last] indices in ps and
+    qs (PST.region_spans for regions; a module is a one-slot block); width
+    and height give each block's size.  Block a is left of b when a's
+    block precedes b's in both sequences, and below b when it follows b's
+    in ps but precedes it in qs.  Blocks are visited in ps order for x and
+    in qs order for y, which puts every predecessor first.  Returns
+    (off_x, off_y, x_extent, y_extent): the offsets are dicts in those two
+    orders, and an extent is the largest offset plus size (0 with no
+    blocks).
     """
     off_x: dict = {}
+    ends = []  # (last qs index, right end) of the blocks placed so far
+    x_ext = 0
     for r in ps_span:
-        first_q = qs_span[r][0]
+        first_q, last_q = qs_span[r]
         x = 0
-        for a, xa in off_x.items():
-            if qs_span[a][1] < first_q:
-                xa += width[a]
-                if xa > x:
-                    x = xa
+        for q, end in ends:
+            if q < first_q and end > x:
+                x = end
         off_x[r] = x
+        x += width[r]
+        ends.append((last_q, x))
+        if x > x_ext:
+            x_ext = x
     off_y: dict = {}
+    ends = []  # (first ps index, top end) of the blocks placed so far
+    y_ext = 0
     for r in qs_span:
-        last_p = ps_span[r][1]
+        first_p, last_p = ps_span[r]
         y = 0
-        for a, ya in off_y.items():
-            if ps_span[a][0] > last_p:
-                ya += height[a]
-                if ya > y:
-                    y = ya
+        for p, end in ends:
+            if p > last_p and end > y:
+                y = end
         off_y[r] = y
-    return off_x, off_y
+        y += height[r]
+        ends.append((first_p, y))
+        if y > y_ext:
+            y_ext = y
+    return off_x, off_y, x_ext, y_ext
 
 
-def pack_layer(by_p, by_q, shapes: dict, local_x: dict, local_y: dict):
-    """Plain sequence-pair packing of one layer; its (width, height).
+def pack_layer(by_p, by_q, shapes: dict) -> tuple:
+    """Plain sequence-pair packing of one layer, whose modules by_p and
+    by_q list in ps and in qs order: block_offsets over one-slot blocks.
 
-    by_p and by_q list the layer's modules in ps and in qs order.  Module
-    i is left of j when it comes first in both, and below j when it comes
-    after j in by_p but before it in by_q.  Each module's position inside
-    the layer goes to local_x and local_y.
+    Returns (local_x, local_y, width, height): each module's position
+    inside the layer and the layer's size.
     """
-    qpos = {m: i for i, m in enumerate(by_q)}
-    placed = []
-    lw = 0
-    for m in by_p:
-        qm = qpos[m]
-        x = 0
-        for qi, xi in placed:
-            if qi < qm and xi > x:
-                x = xi
-        local_x[m] = x
-        end = x + shapes[m].w
-        placed.append((qm, end))
-        if end > lw:
-            lw = end
-    ppos = {m: i for i, m in enumerate(by_p)}
-    placed = []
-    lh = 0
-    for m in by_q:
-        pm = ppos[m]
-        y = 0
-        for pi, yi in placed:
-            if pi > pm and yi > y:
-                y = yi
-        local_y[m] = y
-        end = y + shapes[m].h
-        placed.append((pm, end))
-        if end > lh:
-            lh = end
-    return lw, lh
+    return block_offsets({m: (i, i) for i, m in enumerate(by_p)},
+                         {m: (i, i) for i, m in enumerate(by_q)},
+                         {m: shapes[m].w for m in by_p},
+                         {m: shapes[m].h for m in by_p})
 
 
 def pack(pst: PST, shapes: dict) -> Placement:
@@ -259,47 +247,45 @@ def pack(pst: PST, shapes: dict) -> Placement:
     while layers of one region constrain nothing across each other.  The
     longest path into a module is therefore its region's offset plus its
     position from plain sequence-pair packing of its own layer alone
-    (pack_layer).  The offsets are the shared region longest path,
-    region_offsets, with each region as wide and tall as its largest
-    layer.  This is the module-level longest path over the filtered
-    relation graph, evaluated in pieces.
+    (pack_layer).  The offsets come from the same longest path over the
+    region blocks, block_offsets, with each region as wide and tall as
+    its largest layer.  This is the module-level longest path over the
+    filtered relation graph, evaluated in pieces.
 
     The PST must be structurally valid (see validate): the decomposition
     rests on contiguous region and layer blocks.  Packing always
     succeeds, also beyond the chip.  y coordinates stay quantum-aligned
     because every height is a quantum multiple.
     """
-    ps, part = pst.ps, pst.partition
-    by_q: dict = {}
-    for m in pst.qs:
-        by_q.setdefault(part[m], []).append(m)
-
-    local_x: dict = {}
-    local_y: dict = {}
+    ps, qs = pst.ps, pst.qs
+    ps_spans, qs_spans = pst.layer_spans
+    layers = []  # (region, modules in ps order, local_x, local_y)
     region_w: dict = {}
     region_h: dict = {}
     layer_sizes: dict = {}
-    for key, mods in pst.layer_members.items():
-        lw, lh = layer_sizes[key] = pack_layer(mods, by_q[key], shapes,
-                                               local_x, local_y)
+    for key, (a, b) in ps_spans.items():
+        c, d = qs_spans[key]
+        mods = ps[a:b + 1]
+        local_x, local_y, lw, lh = pack_layer(mods, qs[c:d + 1], shapes)
+        layer_sizes[key] = lw, lh
         region = key[0]
+        layers.append((region, mods, local_x, local_y))
         if lw > region_w.get(region, 0):
             region_w[region] = lw
         if lh > region_h.get(region, 0):
             region_h[region] = lh
 
-    off_x, off_y = region_offsets(*pst.region_spans, region_w, region_h)
+    off_x, off_y, x_max, y_max = block_offsets(*pst.region_spans, region_w,
+                                               region_h)
 
     coords = {}
-    for m in ps:
-        r = part[m][0]
-        shape = shapes[m]
-        coords[m] = Rect(off_x[r] + local_x[m] + 1, off_y[r] + local_y[m] + 1,
-                         shape.w, shape.h)
+    for r, mods, local_x, local_y in layers:
+        for m in mods:
+            shape = shapes[m]
+            coords[m] = Rect(off_x[r] + local_x[m] + 1,
+                             off_y[r] + local_y[m] + 1, shape.w, shape.h)
     region_boxes = {r: Rect(off_x[r] + 1, off_y[r] + 1, region_w[r], region_h[r])
                     for r in off_x}
-    x_max = max((off_x[r] + region_w[r] for r in off_x), default=0)
-    y_max = max((off_y[r] + region_h[r] for r in off_x), default=0)
     return Placement(coords=coords, region_boxes=region_boxes,
                      x_max=x_max, y_max=y_max, layer_sizes=layer_sizes)
 
@@ -331,11 +317,7 @@ def schedule(pst: PST, g: TaskGraph) -> ScheduleResult:
     for key in part.values():
         if key not in rs_set:
             raise ValueError(f"schedule: layer {key} missing from rs")
-    members = pst.layer_members
-    in_order: dict = {}  # layer key -> its modules in topological order
-    for m in g.topological_order():
-        if m in part:
-            in_order.setdefault(part[m], []).append(m)
+    members, in_order = pst.layer_members, layer_orders(pst, g)
     config_start: dict = {}
     config_end: dict = {}
     exec_start: dict = {}
@@ -344,6 +326,16 @@ def schedule(pst: PST, g: TaskGraph) -> ScheduleResult:
     makespan = run_layers(layers, g, part, 0.0, {}, exec_end, 0.0,
                           (config_start, config_end, exec_start, {}))
     return ScheduleResult(config_start, config_end, exec_start, exec_end, makespan)
+
+
+def layer_orders(pst: PST, g: TaskGraph) -> dict:
+    """Layer key -> its modules in the graph's topological order."""
+    part = pst.partition
+    orders: dict = {}
+    for m in g.topological_order():
+        if m in part:
+            orders.setdefault(part[m], []).append(m)
+    return orders
 
 
 def run_layers(layers, g: TaskGraph, placed, port: float, region_end: dict,

@@ -165,7 +165,12 @@ def run_pipeline(g: TaskGraph, chip: ChipModel,
     """Shapes, seeded exploration runs, post-opt on failures, aggregation.
 
     Every seed is recorded even if it stays infeasible; aggregates cover
-    only runs whose final floorplan fits the chip.
+    only runs whose final floorplan fits the chip.  Post-opt repairs only
+    what anneal returns, its best feasible state when it has one, so today
+    the repair branch does not run (ROADMAP item 5).  Repairing the
+    chain's lowest-cost state instead would turn runs into failures until
+    the rough stage weighs the boundary penalty (ROADMAP item 1): see
+    anneal for an instance whose lowest-cost state post-opt cannot fit.
     """
     g, lists = prepare_instance(g, chip, cfg.shape_cfg, cfg.cfg_rate)
     weights = cfg.sa.weights.resolve(g, chip)

@@ -12,7 +12,7 @@ from pdrplan.delta import PlanState
 from pdrplan.errors import InfeasibleModuleError
 from pdrplan.explore import Candidate, apply_candidate
 from pdrplan.ilp import _Search
-from pdrplan.pst import (PST, Placement, ScheduleResult, pack, region_offsets,
+from pdrplan.pst import (PST, Placement, ScheduleResult, block_offsets, pack,
                          schedule)
 from pdrplan.shapes import (Shape, ShapeList, aspect_ratio, initial_width,
                             min_height_for_width)
@@ -344,7 +344,7 @@ def reference_approx_extents(ev, cand, shape):
     if cand.new_layer:
         rw, rh = max(rw, shape.w), max(rh, shape.h)
     width[region], height[region] = rw, rh
-    off_x, off_y = region_offsets(*ev.pst.region_spans, width, height)
+    off_x, off_y, _, _ = block_offsets(*ev.pst.region_spans, width, height)
     return (max(off_x[r] + width[r] for r in off_x),
             max(off_y[r] + height[r] for r in off_y))
 

@@ -11,6 +11,7 @@ from helpers import (eager_insertions, exact_rough_evaluate, make_graph,
                      plan_state, single_layer_pst)
 from pdrplan import explore
 from pdrplan.chip import ResourceVector, builtin_xc7vx485t
+from pdrplan.delta import PlanState
 from pdrplan.explore import (MAX_CANDIDATES, PROBE_MOVES, ROUGH_KEEP_K,
                              RoughEvaluator, SAConfig, accept_move,
                              accurate_evaluate, anneal, apply_candidate,
@@ -526,20 +527,22 @@ class TestAnneal:
         assert trace_a == trace_b
 
     def test_validated_moves_on_small_instance(self, chip, monkeypatch):
-        """The winner of every move, probe moves included, is a valid PST."""
+        """Every point a move costs exactly, probe moves' points and every
+        winner included, applies to a valid PST."""
         g, lists = t10_instance(9, chip)
-        winners = []
+        points = []
+        costs = PlanState.costs
 
-        def validating(*args):
-            best = accurate_evaluate(*args)
-            assert validate(best[0], g) == []
-            winners.append(best[0])
-            return best
+        def validating(base, m, cand):
+            applied = apply_candidate(base.pst, m, cand)
+            assert validate(applied, g) == []
+            points.append(applied)
+            return costs(base, m, cand)
 
-        monkeypatch.setattr(explore, "accurate_evaluate", validating)
+        monkeypatch.setattr(PlanState, "costs", validating)
         cfg = SAConfig(seed=2, cooling_rate=0.5, iterations_per_temperature=8)
         sol, _ = anneal(g, lists, chip, cfg)
-        assert len(winners) > PROBE_MOVES
+        assert len(points) > PROBE_MOVES
         assert validate(sol.pst, g) == []
 
     def test_time_limit_covers_probe_moves(self, chip):
@@ -548,6 +551,25 @@ class TestAnneal:
         started = time.monotonic()
         anneal(g, lists, chip, SAConfig(seed=0, time_limit=0.2))
         assert time.monotonic() - started < 1.5
+
+    def test_subnormal_temperature_ends_the_schedule(self, chip):
+        """5e-324 * 0.9 rounds back to 5e-324 and the floor resolves to
+        0.0, so the schedule ends once cooling no longer lowers t."""
+        g, lists = t10_instance(8, chip)
+        cfg = SAConfig(seed=0, initial_temperature=5e-324,
+                       iterations_per_temperature=1, time_limit=2)
+        _, trace = anneal(g, lists, chip, cfg)
+        assert [row.temperature for row in trace] == [5e-324]
+
+    def test_overflowing_lowest_cost_state_is_not_returned(self, chip):
+        """The chain's lowest-cost state on this instance overflows the
+        chip and post-opt cannot repair it (see anneal), so anneal returns
+        a feasible state that costs more."""
+        g, lists = prepare_instance(generate(preset_spec("t10-2", seed=100)),
+                                    chip, ShapeGenConfig(), 0.001)
+        sol, trace = anneal(g, lists, chip, SAConfig(seed=0))
+        assert sol.feasible
+        assert min(row.best_cost for row in trace) < sol.costs.total
 
     def test_unresolved_conf_rejected(self, chip):
         spec = preset_spec("t10-1", seed=1)

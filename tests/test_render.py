@@ -73,3 +73,38 @@ def test_svg_well_formed(chip):
     sol = solution_with_layers(chip)
     for _, svg in render_svg(sol, chip):
         ET.fromstring(svg)
+
+
+def test_module_ids_are_escaped(chip, tmp_path):
+    """Ids may hold XML markup characters; every SVG stays well formed."""
+    import xml.etree.ElementTree as ET
+    from pdrplan.cli import main
+    from pdrplan.explore import initial_solution
+    from pdrplan.report import PipelineConfig, prepare_instance
+    from pdrplan.shapes import ShapeGenConfig
+    from pdrplan.solio import write_solution
+    from pdrplan.taskgraph import parse_graph
+
+    text = ("module a<b clb=800 bram=4 dsp=2 exec=20 conf=1\n"
+            "module c&d clb=600 bram=0 dsp=4 exec=30 conf=1\n"
+            "edge a<b c&d weight=3\n")
+    graph = tmp_path / "graph.txt"
+    graph.write_text(text)
+    g, lists = prepare_instance(parse_graph(text), chip, ShapeGenConfig(),
+                                PipelineConfig.cfg_rate)
+    shapes = {m: lists[m].min_area_shape() for m in g.module_ids}
+    sol = evaluate(initial_solution(g, lists, chip), shapes, g, chip,
+                   CostWeights().resolve(g, chip))
+    solution = tmp_path / "solution.txt"
+    solution.write_text(write_solution(sol))
+    out_dir = tmp_path / "svg"
+    assert main(["render", "--graph", str(graph), "--solution", str(solution),
+                 "--out-dir", str(out_dir)]) == 0
+    svgs = sorted(out_dir.glob("*.svg"))
+    assert len(svgs) == len(sol.pst.rs) + 1
+    labels = []
+    for path in svgs:
+        labels += [t.text for t in ET.parse(path).iter()
+                   if t.tag.endswith("text")]
+    assert any(label.startswith("a<b ") for label in labels)
+    assert any(label.startswith("c&d ") for label in labels)

@@ -1,14 +1,19 @@
 """Digest every file a fixed set of planner runs writes.
 
     python3 tools/identity_digests.py --src path/to/checkout/src [--out DIR]
+    python3 tools/identity_digests.py --src SRC --python PY [--python PY ...]
 
 Run it on two checkouts and compare the listings: a change meant to leave
 the planner's results alone prints the same listing as its parent.  Run
 it under every supported interpreter too (python3.10, 3.11, 3.12 and
 3.13): all of them must print the same listing, so that seeded outputs
-do not depend on the Python version.  The runs are the benchmark's
-inputs, made by planbench/inputs.py next to this script, so both
-checkouts see the same graphs:
+do not depend on the Python version.  With --python, the script reruns
+itself under each given interpreter instead, prints one line per
+interpreter with that interpreter's listing digest, and exits 1 when the
+digests differ.
+
+The runs are the benchmark's inputs, made by planbench/inputs.py next to
+this script, so both checkouts see the same graphs:
 
 - `pdrplan run --runs 1 --seed 0` and `pdrplan explore --seed 1` on the
   run-t10 graphs (t10-1, t10-2, t10-3, graph seed 0);
@@ -31,6 +36,7 @@ import hashlib
 import io
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -94,13 +100,35 @@ def listing(work: Path) -> list:
     return lines
 
 
+def compare_interpreters(src: Path, pythons: list) -> int:
+    """Print each interpreter's listing digest; 1 when they differ."""
+    digests = set()
+    for python in pythons:
+        run = subprocess.run([python, __file__, "--src", str(src)],
+                             capture_output=True, text=True)
+        if run.returncode:
+            sys.stderr.write(run.stderr)
+            sys.exit(f"{python} exited {run.returncode}")
+        digest = run.stdout.split()[-1]
+        digests.add(digest)
+        print(f"{digest}  {python}")
+    return 0 if len(digests) <= 1 else 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True, type=Path,
                         help="the src directory of the checkout to run")
     parser.add_argument("--out", type=Path, default=None,
                         help="keep the files in this new directory")
+    parser.add_argument("--python", action="append", default=[],
+                        help="rerun under this interpreter and compare the "
+                             "listing digests (repeatable)")
     args = parser.parse_args(argv)
+    if args.python:
+        if args.out is not None:
+            parser.error("--out and --python do not combine")
+        return compare_interpreters(args.src.resolve(), args.python)
     work = args.out or Path(tempfile.mkdtemp(prefix="identity-"))
     work.mkdir(parents=True, exist_ok=args.out is None)
     try:
