@@ -38,16 +38,19 @@ def resolve_chip(spec: str):
     return load_chip(spec)
 
 
-def _parse_range(text: str, kind=float):
+def _parse_range(text: str):
     try:
         lo, hi = text.split(",")
-        return (kind(float(lo)), kind(float(hi)))
-    except (ValueError, OverflowError):
+        return (float(lo), float(hi))
+    except ValueError:
         raise InputFileError(f"expected a LO,HI range, got {text!r}") from None
 
 
 def _int_range(text: str):
-    return _parse_range(text, int)
+    lo, hi = _parse_range(text)
+    if not (lo.is_integer() and hi.is_integer()):
+        raise InputFileError(f"expected an integer LO,HI range, got {text!r}")
+    return int(lo), int(hi)
 
 
 # Flags that several verbs take.  A flag's dest is the name of the config

@@ -29,11 +29,8 @@ whose offset changed, places the repacked layer and recomputes the terms
 of the edges that touch a moved centre.  _replay runs the schedule
 (pst.run_layers) from the layer's rs slot: every successor of the edited
 layer's modules sits at or after it, so the layers before it keep their
-times.  _edited assembles the next state from the two.  A state memoises
-the schedule before each rs slot it replays from, and a base also each
-point's replay: points of one layer and slot differ only in the order of
-the configuration sum, so a replay serves every point whose sum is the
-same float.  A new state starts with an empty memo.
+times, and it reads the schedule before the slot from the kept layer
+and configuration ends.  _edited assembles the next state from the two.
 
 Every value equals the from-scratch one, float for float: centres are
 half integers, so shifting one is exact, each term is pst.comm_between's
@@ -80,16 +77,12 @@ class PlanState:
         for i, (a, b, _) in enumerate(self._edges):
             self._incident[a].append(i)
             self._incident[b].append(i)
-        # rs slot -> the schedule before it; (layer, slot, conf sum) -> a
-        # point's replay
-        self._memo: dict = {}
 
         self.sizes = dict(placement.layer_sizes)
         self.members = {k: tuple(v) for k, v in pst.layer_members.items()}
         self.order = {k: tuple(v) for k, v in layer_orders(pst, g).items()}
         self.exec_end = dict(timeline.exec_end)
         self.config_end = dict(timeline.config_end)
-        self.makespan = timeline.makespan
         self.conf_sum, self.exec_max, self.layer_end = {}, {}, {}
         for key, mods in self.members.items():
             self.conf_sum[key], self.exec_max[key] = _layer_sums(g, mods)
@@ -108,14 +101,6 @@ class PlanState:
         self.terms = [wt * (abs(cx[a] - cx[b]) + abs(cy[a] - cy[b]))
                       if a in cx and b in cx else None
                       for a, b, wt in self._edges]
-
-    def _derive(self) -> "PlanState":
-        """A copy sharing every field but the memo, which starts empty;
-        the caller replaces what changes."""
-        new = object.__new__(PlanState)
-        new.__dict__.update(self.__dict__)
-        new._memo = {}
-        return new
 
     def _place(self, ps, spans, width, height, r, layer, packed, shapes):
         """The regions placed again with sizes width and height.
@@ -166,22 +151,18 @@ class PlanState:
         Returns (makespan, finish times, the replayed layers'
         configuration ends and ends).
         """
-        state = self._memo.get(t)
-        if state is None:
-            rs, ends = self.pst.rs, self.layer_end
-            region_end: dict = {}
-            latest = 0.0
-            for k in rs[:t]:
-                end = region_end[k[0]] = ends[k]
-                if end > latest:
-                    latest = end
-            port = self.config_end[rs[t - 1]] if t else 0.0
-            state = self._memo[t] = (port, region_end, latest)
-        port, region_end, latest = state
+        rs, ends = self.pst.rs, self.layer_end
+        region_end: dict = {}
+        latest = 0.0
+        for k in rs[:t]:
+            end = region_end[k[0]] = ends[k]
+            if end > latest:
+                latest = end
+        port = self.config_end[rs[t - 1]] if t else 0.0
         exec_end = dict(self.exec_end)
         config_end: dict = {}
         layer_end: dict = {}
-        makespan = run_layers(layers, self.g, placed, port, dict(region_end),
+        makespan = run_layers(layers, self.g, placed, port, region_end,
                               exec_end, latest,
                               ({}, config_end, {}, layer_end))
         return makespan, exec_end, config_end, layer_end
@@ -192,11 +173,12 @@ class PlanState:
         layer (ps order; empty when the layer is gone) in order
         (topological), packed to size, and the regions and schedule as
         _place and _replay give them."""
-        st = self._derive()
+        st = object.__new__(PlanState)
+        st.__dict__.update(self.__dict__)
         st.pst, st.shapes = pst, shapes
         (st.width, st.height, st.off_x, st.off_y, st.x_max, st.y_max, st.cx,
          st.cy, st.terms) = placed
-        st.makespan, st.exec_end, config_end, layer_end = replayed
+        _, st.exec_end, config_end, layer_end = replayed
         st.config_end = {**self.config_end, **config_end}
         st.layer_end = {**self.layer_end, **layer_end}
         st.sizes, st.members = dict(self.sizes), dict(self.members)
@@ -277,18 +259,13 @@ class PlanState:
         placed = self._place(pst.ps, (ps_span, qs_span), width, height, r,
                              layer, packed, shapes)
 
-        conf = _layer_sums(self.g, layer)[0]
-        done = self._memo.get((key, t, conf))
-        if done is None:
-            topo = self._topo
-            order = list(self.order.get(key, ()))
-            order.insert(bisect_left(order, topo[m], key=topo.__getitem__), m)
-            layers = [(key, layer, order)]
-            layers += [(k, self.members[k], self.order[k])
-                       for k in pst.rs[t + (not cand.new_layer):]]
-            done = self._memo[key, t, conf] = (
-                tuple(order), self._replay(t, layers, {*pst.partition, m}))
-        order, replayed = done
+        old, topo = self.order.get(key, ()), self._topo
+        at = bisect_left(old, topo[m], key=topo.__getitem__)
+        order = (*old[:at], m, *old[at:])
+        layers = [(key, layer, order)]
+        layers += [(k, self.members[k], self.order[k])
+                   for k in pst.rs[t + (not cand.new_layer):]]
+        replayed = self._replay(t, layers, {*pst.partition, m})
 
         _, _, off_x, off_y, x_max, y_max, _, _, terms = placed
         boxes = [(off_x[q] + 1, off_y[q] + 1, width[q], height[q])

@@ -58,8 +58,9 @@ class SAConfig:
     """Annealing schedule and move-evaluation parameters.
 
     None values are resolved per instance: the initial temperature from
-    PROBE_MOVES probe moves (median uphill cost accepted with probability
-    0.8), iterations_per_temperature as max(16, 2 x modules),
+    PROBE_MOVES probe moves (the median nonzero |cost change| of a probe,
+    uphill or downhill, accepted with probability 0.8),
+    iterations_per_temperature as max(16, 2 x modules),
     min_temperature as 1e-3 x initial.  time_limit bounds the probe moves
     as well as the annealing proper.  Each move samples at most
     MAX_CANDIDATES insertion points and re-costs the ROUGH_KEEP_K with the
@@ -587,6 +588,8 @@ class _Chain:
         return move
 
     def initial_temperature(self):
+        """cfg's, or the median nonzero |cost change| of the probe moves
+        over _PROBE_ACCEPT (1.0 when no probe changed the cost)."""
         if self.cfg.initial_temperature is not None:
             return self.cfg.initial_temperature
         deltas = []
@@ -648,8 +651,9 @@ def anneal(g: TaskGraph, shape_lists: dict, chip: ChipModel,
     best boundary-feasible one found; if the chain never saw a feasible
     floorplan, the lowest-cost (least violating) solution is returned with
     feasible=False, ready for post-optimization.  The chain starts from
-    initial_solution, which always fits the chip, so today the result is
-    always feasible (CHANGES.md FOUND on run_pipeline, ROADMAP item 5).
+    initial_solution, which fits the chip whenever every module's
+    smallest shape does, as generate_all's shapes do, so then the result
+    is feasible (CHANGES.md FOUND on run_pipeline, ROADMAP item 5).
 
     The lowest-cost state is not handed on when it overflows: rough
     scoring ignores the boundary penalty (ROADMAP item 1), so that state

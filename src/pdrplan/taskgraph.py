@@ -308,6 +308,9 @@ class BenchSpec:
             raise ValueError("module_count must be an int >= 1")
         if not 0 <= self.edge_density < math.inf:
             raise ValueError("edge_density must be finite and >= 0")
+        for name in ("clb_range", "bram_range", "dsp_range"):
+            if not all(isinstance(v, int) for v in getattr(self, name)):
+                raise ValueError(f"{name} must have int bounds")
         for name in ("exec_range", "edge_weight_range", "clb_range",
                      "bram_range", "dsp_range"):
             lo, hi = getattr(self, name)

@@ -387,6 +387,7 @@ class TestBadValues:
         ("--exec", "0,inf", "exec_range must"),
         ("--weight", "5,1", "edge_weight_range must"),
         ("--clb", "0,inf", "argument --clb"),
+        ("--clb", "1.5,3000", "argument --clb"),
         ("--bram", "-1,5", "bram_range must"),
     ])
     def test_bad_range_exits_2(self, flag, value, named, capsys):

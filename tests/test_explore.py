@@ -306,7 +306,7 @@ class TestAccurateEvaluate:
 
 STATE_FIELDS = ("sizes", "members", "order", "conf_sum", "exec_max",
                 "layer_end", "config_end", "width", "height", "off_x", "off_y",
-                "x_max", "y_max", "cx", "cy", "exec_end", "makespan", "terms")
+                "x_max", "y_max", "cx", "cy", "exec_end", "terms")
 
 
 def assert_same_state(kept, pst, shapes, g, chip, w):
@@ -322,8 +322,8 @@ def assert_same_state(kept, pst, shapes, g, chip, w):
 class TestPlanState:
     """The delta cost of every insertion point equals a full evaluate, and
     the chain's kept state equals one built from scratch after every
-    move's base and every applied winner, while states and bases keep
-    their memos across moves and probes."""
+    move's base and every applied winner, while each state serves several
+    moves and each base several probes."""
 
     @staticmethod
     def walk(chip, name, seed, states, seen):
@@ -570,6 +570,18 @@ class TestAnneal:
         sol, trace = anneal(g, lists, chip, SAConfig(seed=0))
         assert sol.feasible
         assert min(row.best_cost for row in trace) < sol.costs.total
+
+    def test_lowest_cost_state_returned_when_none_is_feasible(self, chip):
+        """Module a's one shape is 400 rows tall on a 350-row chip, so no
+        state fits, and anneal returns the lowest-cost one, infeasible."""
+        g = TaskGraph([TaskModule("a", ResourceVector(10, 0, 0), 10.0, 1.0),
+                       TaskModule("b", ResourceVector(10, 0, 0), 10.0, 1.0)],
+                      [])
+        lists = {"a": ShapeList("a", (Shape(5, 400),)),
+                 "b": ShapeList("b", (Shape(5, 10),))}
+        sol, trace = anneal(g, lists, chip, SAConfig(seed=0))
+        assert not sol.feasible
+        assert sol.costs.total == trace[-1].best_cost
 
     def test_unresolved_conf_rejected(self, chip):
         spec = preset_spec("t10-1", seed=1)

@@ -121,6 +121,10 @@ class TestGenerate:
             assert 20 <= e.weight <= 30
         assert len(g.edges) == 8
 
+    def test_non_integral_resource_range_rejected(self):
+        with pytest.raises(ValueError, match="clb_range"):
+            self.spec(clb_range=(1.5, 3000))
+
     def test_single_node_no_edges(self):
         g = generate(self.spec(module_count=1, edge_density=0.0))
         assert len(g.modules) == 1 and len(g.edges) == 0
