@@ -1,4 +1,4 @@
-"""Shape reselection as an exact 0/1 program, solved by branch and bound.
+"""Shape reselection as an exact 0/1 program, solved over shape curves.
 
 The partition, configuration order, and sequence-pair relations of a
 solution stay fixed; only the per-module shape choice varies.  One-hot
@@ -6,35 +6,49 @@ selection rows pick a shape per module, module widths/heights become
 linear expressions of the selectors, sequence-pair relations turn into
 pairwise coordinate constraints, and the occupied extents are maximized
 away from the chip boundary: maximize (Width - Xmax) + (Height - Ymax).
+export_lp spells the program out row by row in CPLEX LP text form for
+use with external solvers.
 
-The model is kept in structured form only: shape dimensions per module
-plus the sequence-pair relations (Murata et al., IEEE TCAD 1996).  The
-bundled solver branches on the selection rows.  One longest-path routine
-serves it: over predecessor lists in dependency order it gives each
-module's head, over successor lists in the reverse order its tail.  The
-lists hold the transitive reduction of the relations (Aho, Garey and
-Ullman, SIAM J. Comput. 1972): every shape is at least 1 by 1, so an edge
-that two others imply has slack of at least the middle module's size and
-sets no head, tail or critical path.  With every module at its least
-remaining width and height, the heads give extents no completion
-undercuts; a node hands these minima to its children, which change only
-the branched module's entry.  Shapes whose longest path (head + size
-+ tail) breaks the extent budget that beating the incumbent leaves are
-dropped for the bound only, until none goes.  The one bound, (objective
-upper bound, -least total area) over the survivors, prunes a node unless
-it beats the incumbent's key; on a full assignment it is the assignment's
-own key, so seeds and leaves are judged by the same call.  export_lp
-spells the same model out row by row in CPLEX LP text form for use with
-external solvers.
+The bundled solver does not branch on the selection rows.  Layer and
+region blocks are contiguous in ps and qs, so, as pst.pack states, the
+module-level longest path equals the block longest path: each layer
+packs alone, a region is as wide and as tall as its largest layer, and
+the extents are block_offsets over the region boxes.  The objective and
+its tie key, the least total shape area, therefore depend on a
+selection only through each layer's (width, height, area), and they
+never get worse when one of those shrinks.  So the program splits as
+shape curves split a slicing floorplan (Otten, DAC 1982; Stockmeyer,
+Information and Control 1983):
+
+1. each layer's Pareto points of (width, height, total shape area) over
+   its modules' shapes, from a depth-first sweep;
+2. each region's points of (box width, box height, least area), merged
+   from its layers' points;
+3. a depth-first search over the region points that bounds each node
+   with block_offsets, the unset regions at their least sizes.
+
+A point is dropped only when one met earlier is no larger in all three
+terms, or one met later is no larger in the box and strictly smaller in
+area.  A selection using the dropped point can swap in the other one and
+keep or improve its key, and a swap to an earlier point makes the
+selection lexicographically smaller.  Every sweep visits shapes, layer
+points and region points in index order, which nests into the
+lexicographic order of the selection in ps order.  So the search returns
+the lexicographically first selection of the best key, the one an
+exhaustive sweep over itertools.product keeps when it accepts only
+strict improvements.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .chip import ChipModel
-from .pst import CostWeights, PST, Solution, evaluate
+from .pst import (CostWeights, PST, Solution, block_offsets, block_violations,
+                  evaluate)
 from .taskgraph import TaskGraph
 
 
@@ -42,8 +56,10 @@ from .taskgraph import TaskGraph
 class ILPModel:
     """Shape-reselection program for a fixed PST.
 
-    These fields determine every row of the program: the bundled solver
-    reads them directly and export_lp derives the LP rows from them.
+    The first six fields determine every row of the program, and
+    export_lp derives the LP rows from them.  The bundled solver reads the
+    same program through its blocks: layers and region_spans restate the
+    pairs for a PST whose layer and region blocks are contiguous.
     """
 
     modules: tuple  # module ids in ps order; solve relies on it
@@ -52,6 +68,10 @@ class ILPModel:
     v_pairs: tuple  # (a, b): y_b >= y_a + h_a
     width: int
     height: int
+    # per layer block in ps order: (region, first, ranks); the layer holds
+    # modules[first:first + len(ranks)], and ranks gives their qs indices
+    layers: tuple
+    region_spans: tuple  # (ps spans, qs spans) of the region blocks
 
 
 @dataclass(frozen=True)
@@ -59,7 +79,7 @@ class SolveResult:
     status: str  # 'optimal', 'infeasible' or 'timeout'
     selection: dict | None  # module id -> index into its shape list
     objective: float | None
-    nodes: int
+    nodes: int  # layer-sweep, region-merge and region-search nodes visited
     wall_time: float
 
 
@@ -88,11 +108,24 @@ def sequence_pair_relations(pst: PST):
     return h_pairs, v_pairs
 
 
+def _blocks(pst: PST):
+    """(layers, region_spans) of ILPModel; ValueError names the first
+    region or layer block that is not contiguous in ps or qs."""
+    problems = block_violations(pst)
+    if problems:
+        raise ValueError(problems[0])
+    qpos = {m: i for i, m in enumerate(pst.qs)}
+    layers = tuple((k[0], first, tuple(qpos[m] for m in pst.ps[first:last + 1]))
+                   for k, (first, last) in pst.layer_spans[0].items())
+    return layers, pst.region_spans
+
+
 def build_model(pst: PST, shape_lists: dict, chip: ChipModel) -> ILPModel:
     """Assemble the reselection program for a fixed PST.
 
-    Every shape must be at least 1 by 1: the solver's longest paths rely
-    on it (see _Search.__init__).
+    Every shape must be at least 1 by 1, and the PST's layer and region
+    blocks contiguous in ps and qs (see validate): the solver works on the
+    blocks.
     """
     modules = tuple(pst.ps)
     dims = {}
@@ -106,283 +139,276 @@ def build_model(pst: PST, shape_lists: dict, chip: ChipModel) -> ILPModel:
                     f"module {m}: shape {s.w}x{s.h} is not at least 1x1")
         dims[m] = tuple((s.w, s.h) for s in sl.shapes)
     h_pairs, v_pairs = sequence_pair_relations(pst)
-    return ILPModel(
-        modules=modules,
-        shape_dims=dims,
-        h_pairs=tuple(h_pairs),
-        v_pairs=tuple(v_pairs),
-        width=chip.width,
-        height=chip.height,
-    )
+    return ILPModel(modules, dims, tuple(h_pairs), tuple(v_pairs),
+                    chip.width, chip.height, *_blocks(pst))
 
 
 # ----------------------------------------------------------------------
 # bundled exact solver
 
-class _Search:
+def _covered(points, w, h, a):
+    """Whether a point met earlier is no larger than (w, h, a)."""
+    return any(pw <= w and ph <= h and pa <= a for pw, ph, pa, _ in points)
+
+
+def _add(points, point):
+    """Append point, dropping the earlier points it beats: no larger box,
+    strictly smaller area."""
+    w, h, a, _ = point
+    points[:] = [p for p in points if not (w <= p[0] and h <= p[1] and a < p[2])]
+    points.append(point)
+
+
+def _layer_paths(ranks, widths, heights):
+    """A layer's longest paths, its modules in ps order with the given
+    widths and heights and ranks their order in qs: the path right of
+    (xtail) and below (ybelow) each module, and the width (sx) and height
+    (sy) of the modules from the t-th on, 0 past the last.  Of two modules,
+    the one later in ps is right of the other when it is later in qs too,
+    and below it otherwise."""
+    k = len(ranks)
+    xtail, ybelow = [0] * k, [0] * k
+    sx, sy = [0] * (k + 1), [0] * (k + 1)
+    for t in reversed(range(k)):
+        for u in range(t + 1, k):
+            if ranks[u] > ranks[t]:
+                xtail[t] = max(xtail[t], widths[u] + xtail[u])
+            else:
+                ybelow[t] = max(ybelow[t], heights[u] + ybelow[u])
+        sx[t] = max(sx[t + 1], widths[t] + xtail[t])
+        sy[t] = max(sy[t + 1], heights[t] + ybelow[t])
+    return xtail, ybelow, sx, sy
+
+
+def _through(spans, widths, heights, r):
+    """(x, y, cx, cy): the extents of the region blocks at the given sizes,
+    and the rest of the longest path through region r in each axis, so
+    that r at any width w >= widths[r] gives X = max(x, cx + w), and the
+    same holds in y.  widths and heights come back unchanged."""
+    _, _, x, y = block_offsets(*spans, widths, heights)
+    w, h = widths[r], heights[r]
+    widths[r], heights[r] = x + 1, y + 1  # the longest paths run through r
+    _, _, through_x, through_y = block_offsets(*spans, widths, heights)
+    widths[r], heights[r] = w, h
+    return x, y, through_x - x - 1, through_y - y - 1
+
+
+class _Frontiers:
+    """One solve: the seeds, the layer and region points and the search
+    over region points; see solve.  A point is (width, height, area,
+    shape indices of its modules in ps order)."""
+
     def __init__(self, model: ILPModel, time_limit):
-        self.modules = model.modules
+        self.model, self.spans = model, model.region_spans
         self.width, self.height = model.width, model.height
-        self.n = len(self.modules)
-        idx = {m: i for i, m in enumerate(self.modules)}
-        self.dims = [model.shape_dims[m] for m in self.modules]
-        self.h_preds, self.h_succs = self._reduced(model.h_pairs, idx)
-        self.v_preds, self.v_succs = self._reduced(model.v_pairs, idx)
-        # The lists drop each edge p -> i that edges p -> q -> i imply.
-        # build_model keeps every size >= 1, so head[i] >= head[p] +
-        # size[p] + size[q] over the kept edges: a dropped edge never sets
-        # a head or a tail, and is never the first tight predecessor that
-        # _critical_modules and _pick_branch follow.  The kept edges stay
-        # in pairs order, so nodes, branching and results are those of the
-        # full relations.  The per-module minima are inherited the same
-        # exact way, least areas too: a child narrows only the branched
-        # module to one shape, and _can_improve's filter recomputes only
-        # the modules it took shapes from, so each entry is the least size
-        # over that module's remaining shapes.
-        # Longest paths are evaluated in dependency order.  Model order is
-        # ps order: in a horizontal pair (a, b), a comes first in ps; in a
-        # vertical one the lower module a comes later (Murata et al.).  So
-        # model order suits the horizontal relations, its reverse the
-        # vertical ones; tails walk the successors the opposite way.
-        self.h_order = list(range(self.n))
-        self.v_order = self.h_order[::-1]
-        self.deadline = (time.monotonic() + time_limit
-                         if time_limit is not None else None)
-        self.nodes = 0
-        self.best_key = None  # (objective, -total area), maximized
-        self.best_choice = None
-        self.timed_out = False
+        self.dims = [model.shape_dims[m] for m in model.modules]
+        self.deadline = (None if time_limit is None
+                         else time.monotonic() + time_limit)
+        self.nodes, self.timed_out, self.best = 0, False, None
+        # per layer, _layer_paths at least sizes and the least area from
+        # the t-th module on (sa); per region its least [w, h, area]
+        self.tables = []
+        self.least = {r: [0, 0, 0] for r in self.spans[0]}
+        for r, first, ranks in model.layers:
+            dims = self.dims[first:first + len(ranks)]
+            paths = _layer_paths(ranks, [min(w for w, _ in d) for d in dims],
+                                 [min(h for _, h in d) for d in dims])
+            sa = list(accumulate(reversed([min(w * h for w, h in d)
+                                           for d in dims]), initial=0))[::-1]
+            self.tables.append((*paths, sa))
+            least = self.least[r]
+            least[:] = (max(least[0], paths[2][0]), max(least[1], paths[3][0]),
+                        least[2] + sa[0])
+        self.total_area = sum(s[2] for s in self.least.values())
+        widths, heights = ({r: s[i] for r, s in self.least.items()}
+                           for i in (0, 1))
+        # extents at least sizes, and _through's rest of each region's path
+        self.cx, self.cy = {}, {}
+        for r in self.least:
+            self.x_lb, self.y_lb, self.cx[r], self.cy[r] = _through(
+                self.spans, widths, heights, r)
 
-    def _reduced(self, pairs, idx):
-        """(predecessor lists, successor lists) of the relation pairs,
-        without the edges p -> i that two edges p -> q -> i imply; each
-        list keeps the order of pairs."""
-        edges = [(idx[a], idx[b]) for a, b in pairs]
-        succ_bits = [0] * self.n
-        pred_bits = [0] * self.n
-        for a, b in edges:
-            succ_bits[a] |= 1 << b
-            pred_bits[b] |= 1 << a
-        preds = [[] for _ in range(self.n)]
-        succs = [[] for _ in range(self.n)]
-        for a, b in edges:
-            if not succ_bits[a] & pred_bits[b]:
-                preds[b].append(a)
-                succs[a].append(b)
-        return preds, succs
-
-    def _minima(self, shapes):
-        """(least width, least height, least area) of each module over its
-        shapes."""
-        wmin = [min(d[j][0] for j in s) for d, s in zip(self.dims, shapes)]
-        hmin = [min(d[j][1] for j in s) for d, s in zip(self.dims, shapes)]
-        amin = [min(d[j][0] * d[j][1] for j in s)
-                for d, s in zip(self.dims, shapes)]
-        return wmin, hmin, amin
-
-    def _longest(self, order, preds, size):
-        """Longest path into each module over the given relation lists.
-
-        Predecessor lists in dependency order give each module's head
-        (its lowest coordinate); successor lists in the reverse order give
-        its tail (the longest path from its far edge to the extent).
-        """
-        pos = [0] * self.n
-        for i in order:
-            best = 0
-            for p in preds[i]:
-                v = pos[p] + size[p]
-                if v > best:
-                    best = v
-            pos[i] = best
-        return pos
-
-    def _paths(self, wmin, hmin):
-        """(extent, critical end, heads, sizes) per axis, x then y, with
-        every module at its least width (wmin) and height (hmin); the
-        critical end is the module ending the extent, -1 at extent 0."""
-        axes = []
-        for order, preds, size in ((self.h_order, self.h_preds, wmin),
-                                   (self.v_order, self.v_preds, hmin)):
-            head = self._longest(order, preds, size)
-            ext, arg = 0, -1
-            for i in range(self.n):
-                v = head[i] + size[i]
-                if v > ext:
-                    ext, arg = v, i
-            axes.append((ext, arg, head, size))
-        return axes
-
-    def _critical_modules(self, arg, preds, pos, size):
-        path = []
-        cur = arg
-        while True:
-            path.append(cur)
-            if pos[cur] == 0:
-                return path
-            for p in preds[cur]:
-                if pos[p] + size[p] == pos[cur]:
-                    cur = p
-                    break
-
-    def _can_improve(self, allowed, paths, amin):
-        """The (objective, -area) bound of allowed's completions when it
-        beats the incumbent's key, else None; paths is _paths of allowed's
-        minima, and amin its least shape areas.
-
-        A completion beating an incumbent of objective obj has
-        X + Y <= S = W + H - obj, so X <= min(W, S - Y_lb) and
-        Y <= min(H, S - X_lb); with no incumbent S = W + H, which leaves
-        the chip caps.  A shape of module i survives if the longest path
-        through it (head + size + tail under per-module minima) fits both
-        caps.  Filtering repeats with the surviving shapes' minima until
-        nothing more goes; the bound is (W - X_lb) + (H - Y_lb) and minus
-        the least total area over the survivors.  A full assignment loses
-        no shape, so its bound is its own key.  The survivors feed only
-        this bound: branching still runs over allowed, so leaves are met
-        in the same order.
-        """
-        width, height = self.width, self.height
-        dims = self.dims
-        best = self.best_key
-        budget = width + height - (0 if best is None else best[0])
-        shapes = allowed
-        while True:
-            (xext, _, xhead, wmin), (yext, _, yhead, hmin) = paths
-            if xext > width or yext > height:
-                return None
-            if xext + yext > budget:
-                return None
-            xcap = min(width, budget - yext)
-            ycap = min(height, budget - xext)
-            xtail = self._longest(self.v_order, self.h_succs, wmin)
-            ytail = self._longest(self.h_order, self.v_succs, hmin)
-            kept_all = []
-            dropped = []
-            for i in range(self.n):
-                wcap = xcap - xhead[i] - xtail[i]
-                hcap = ycap - yhead[i] - ytail[i]
-                d = dims[i]
-                kept = [j for j in shapes[i]
-                        if d[j][0] <= wcap and d[j][1] <= hcap]
-                if not kept:
-                    return None
-                if len(kept) < len(shapes[i]):
-                    dropped.append(i)
-                kept_all.append(kept)
-            if not dropped:
-                break
-            shapes = kept_all
-            wmin, hmin, amin = wmin[:], hmin[:], amin[:]
-            for i in dropped:
-                wmin[i] = min(dims[i][j][0] for j in shapes[i])
-                hmin[i] = min(dims[i][j][1] for j in shapes[i])
-                amin[i] = min(dims[i][j][0] * dims[i][j][1] for j in shapes[i])
-            paths = self._paths(wmin, hmin)
-        key = ((width - xext) + (height - yext), -sum(amin))
-        return key if best is None or key > best else None
-
-    def run(self) -> SolveResult:
-        """Seed the incumbent, search, and report; see solve."""
-        start = time.monotonic()
-        dims = self.dims
-        width, height = self.width, self.height
-        min_area = [min(range(len(dims[i])),
-                        key=lambda j: (dims[i][j][0] * dims[i][j][1], j))
-                    for i in range(self.n)]
-        balanced = [min(range(len(dims[i])),
-                        key=lambda j: (dims[i][j][0] / width
-                                       + dims[i][j][1] / height, j))
-                    for i in range(self.n)]
-        for choice in (min_area, balanced):
-            leaf = [[j] for j in choice]
-            wmin, hmin, amin = self._minima(leaf)
-            key = self._can_improve(leaf, self._paths(wmin, hmin), amin)
-            if key is not None:
-                self.best_key, self.best_choice = key, choice
-        root = [list(range(len(dims[i]))) for i in range(self.n)]
-        self.dfs(root, *self._minima(root))
-        wall = time.monotonic() - start
-        if self.timed_out:
-            status = "timeout"
-        elif self.best_key is None:
-            status = "infeasible"
-        else:
-            status = "optimal"
-        selection = None
-        objective = None
-        if self.best_choice is not None:
-            selection = {m: self.best_choice[i]
-                         for i, m in enumerate(self.modules)}
-            objective = float(self.best_key[0])
-        return SolveResult(status=status, selection=selection,
-                           objective=objective, nodes=self.nodes,
-                           wall_time=wall)
-
-    def dfs(self, allowed, wmin, hmin, amin):
-        """Search below the node allowed, whose per-module least widths,
-        heights and areas are wmin, hmin and amin; a child copies them and
-        sets the branched module's entries from its one shape."""
+    def _tick(self) -> bool:
+        """Count a node; False, and timed out, once the deadline passed."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             self.timed_out = True
-            return
+            return False
         self.nodes += 1
-        paths = self._paths(wmin, hmin)
-        key = self._can_improve(allowed, paths, amin)
-        if key is None:
-            return
-        if all(len(a) == 1 for a in allowed):
-            self.best_key, self.best_choice = key, [a[0] for a in allowed]
-            return
-        branch, dim = self._pick_branch(allowed, paths)
-        shape_order = sorted(allowed[branch],
-                             key=lambda j: (self.dims[branch][j][dim],
-                                            self.dims[branch][j][1 - dim]))
-        for j in shape_order:
-            saved = allowed[branch]
-            allowed[branch] = [j]
-            child_w, child_h, child_a = wmin[:], hmin[:], amin[:]
-            w, h = child_w[branch], child_h[branch] = self.dims[branch][j]
-            child_a[branch] = w * h
-            self.dfs(allowed, child_w, child_h, child_a)
-            allowed[branch] = saved
-            if self.timed_out:
-                return
+        return True
 
-    def _pick_branch(self, allowed, paths):
-        """(module, binding dimension): prefer undecided modules on the
-        critical path of the binding axis, then of the other one."""
-        dim = 0 if paths[0][0] / self.width >= paths[1][0] / self.height else 1
-        preds = (self.h_preds, self.v_preds)
-        for k in (dim, 1 - dim):
-            _, arg, head, size = paths[k]
-            if arg < 0:
+    def _fits(self, r, w, h, a) -> bool:
+        """Whether region r at least w by h, with area at least a, can
+        still reach the floor key, every other region at its least size."""
+        least = self.least[r]
+        x = max(self.x_lb, self.cx[r] + max(w, least[0]))
+        y = max(self.y_lb, self.cy[r] + max(h, least[1]))
+        return (x <= self.width and y <= self.height
+                and (x + y, a + self.total_area - least[2]) <= self.budget)
+
+    def _seed(self, choice):
+        """The key of a full selection, or None when it leaves the chip."""
+        widths = dict.fromkeys(self.least, 0)
+        heights = dict(widths)
+        for r, first, ranks in self.model.layers:
+            *_, sx, sy = _layer_paths(ranks, *zip(*(
+                self.dims[i][choice[i]] for i in range(first, first + len(ranks)))))
+            widths[r], heights[r] = max(widths[r], sx[0]), max(heights[r], sy[0])
+        _, _, x, y = block_offsets(*self.spans, widths, heights)
+        if x <= self.width and y <= self.height:
+            return (self.width + self.height - x - y,
+                    -sum(d[j][0] * d[j][1] for d, j in zip(self.dims, choice)))
+        return None
+
+    def _layer_points(self, index):
+        """The index-th layer's points, in the order the sweep meets them.
+
+        Modules are placed in ps order: the next one sits right of the
+        placed ones of lower qs rank and below those of higher rank, so
+        its x and its top path (height plus the longest path above it) are
+        final at once, and the placed modules' paths plus the least paths
+        after them bound the layer's size."""
+        r, first, ranks = self.model.layers[index]
+        xtail, ybelow, sx, sy, sa = self.tables[index]
+        rest = self.least[r][2] - sa[0]
+        points, choice = [], [0] * len(ranks)
+        ends, tops = [0] * len(ranks), [0] * len(ranks)  # right end, top path
+
+        def visit(t, run_x, run_y, area):
+            if not self._tick():
+                return
+            if t == len(ranks):
+                _add(points, (run_x, run_y, area, tuple(choice)))
+                return
+            q = ranks[t]
+            x = max([ends[u] for u in range(t) if ranks[u] < q], default=0)
+            y = max([tops[u] for u in range(t) if ranks[u] > q], default=0)
+            for j, (sw, sh) in enumerate(self.dims[first + t]):
+                # the child's bounds; at a leaf they are its exact size
+                cw = max(run_x, x + sw + xtail[t])
+                ch = max(run_y, y + sh + ybelow[t])
+                ca = area + sw * sh
+                w, h, a = max(cw, sx[t + 1]), max(ch, sy[t + 1]), ca + sa[t + 1]
+                if self._fits(r, w, h, a + rest) and not _covered(points, w, h, a):
+                    choice[t], ends[t], tops[t] = j, x + sw, y + sh
+                    visit(t + 1, cw, ch, ca)
+                    if self.timed_out:
+                        return
+
+        visit(0, 0, 0, 0)
+        return points
+
+    def _region_points(self, r):
+        """Region r's points: its layers' points merged one layer at a
+        time, in ps order of the layers.  Each merge pairs every merged
+        point with every point of the layer, in the order of their
+        selections, and filters the pairs like a sweep's leaves."""
+        merged, rest = [(0, 0, 0, ())], self.least[r][2]
+        for i, (layer_region, _, _) in enumerate(self.model.layers):
+            if layer_region != r or not merged:
                 continue
-            for i in self._critical_modules(arg, preds[k], head, size):
-                if len(allowed[i]) > 1:
-                    return i, dim
-        for i in range(self.n):
-            if len(allowed[i]) > 1:
-                return i, dim
-        raise AssertionError("no branchable module at an interior node")
+            points, out = self._layer_points(i), []
+            rest -= self.tables[i][4][0]  # the layer's least area (sa[0])
+            for mw, mh, ma, pick in merged:
+                if self.timed_out or not self._tick():
+                    return []
+                for pw, ph, pa, more in points:
+                    w, h, a = max(mw, pw), max(mh, ph), ma + pa
+                    if self._fits(r, w, h, a + rest) and not _covered(
+                            out, w, h, a):
+                        _add(out, (w, h, a, pick + more))
+            merged = out
+        return merged
+
+    def _search(self, points):
+        """Depth-first search over the region points, regions in ps order;
+        keeps the first selection of the best key that reaches the floor.
+
+        A node, with its bound key, fixes the regions before the d-th, and
+        the rest wait at their least sizes; _through gives each point's
+        extents in O(1), so a child is visited only when its bound passes.
+        A full selection's bound is its key.
+        """
+        order = list(points)
+        widths, heights = ({r: s[i] for r, s in self.least.items()}
+                           for i in (0, 1))
+        total, picks = self.width + self.height, []
+
+        def visit(d, key):
+            if not self._tick():
+                return
+            if d == len(order):
+                self.best = key, sum(picks, ())
+                return
+            r = order[d]
+            x, y, cx, cy = _through(self.spans, widths, heights, r)
+            for w, h, a, pick in points[r]:
+                xc, yc = max(x, cx + w), max(y, cy + h)
+                child = total - xc - yc, key[1] + self.least[r][2] - a
+                if xc <= self.width and yc <= self.height and (
+                        child >= self.floor if self.best is None
+                        else child > self.best[0]):
+                    widths[r], heights[r] = w, h
+                    picks.append(pick)
+                    visit(d + 1, child)
+                    picks.pop()
+                    if self.timed_out:
+                        break
+            widths[r], heights[r] = self.least[r][0], self.least[r][1]
+
+        _, _, x, y = block_offsets(*self.spans, widths, heights)
+        visit(0, (total - x - y, -sum(self.least[r][2] for r in order)))
+
+    def run(self) -> SolveResult:
+        """Seed the floor, build the points, search, and report; see solve."""
+        start = time.monotonic()
+        seeds = [tuple(min(range(len(d)), key=lambda j: (cost(*d[j]), j))
+                       for d in self.dims)
+                 for cost in (lambda w, h: w * h,
+                              lambda w, h: w / self.width + h / self.height)]
+        incumbent = max(((key, c) for c in seeds if (key := self._seed(c))),
+                        key=lambda seed: seed[0], default=None)
+        self.floor = incumbent[0] if incumbent else (-math.inf, 0)
+        self.budget = (self.width + self.height - self.floor[0], -self.floor[1])
+        points = {}
+        for r in self.least:
+            points[r] = self._region_points(r)
+            if not points[r]:
+                break
+            # the search's least sizes; the other regions' sweeps read
+            # only their own entries
+            self.least[r] = [min(p[i] for p in points[r]) for i in range(3)]
+        else:
+            self._search(points)
+        if self.timed_out:
+            status, self.best = "timeout", self.best or incumbent
+        else:
+            status = "optimal" if self.best else "infeasible"
+        key, choice = self.best or (None, None)
+        return SolveResult(status, key and dict(zip(self.model.modules, choice)),
+                           key and float(key[0]), self.nodes,
+                           time.monotonic() - start)
 
 
 def solve(model: ILPModel, time_limit: float | None = None) -> SolveResult:
     """Exact optimum of the reselection program, or timeout incumbent.
 
-    Offers two greedy assignments (all minimum-area shapes; per-module
-    least normalized half-perimeter), then runs depth-first branch and
-    bound.  Seeds, leaves and inner nodes all pass one bound on
-    (objective, -total area): each module's shapes are filtered against
-    the extent budget the incumbent leaves, and the bound is taken over
-    the survivors; on a full assignment it is exact.  Only what beats the
-    incumbent's key is kept, so every incumbent fits the chip and ties go
-    to the first assignment met.  Deterministic for a fixed model.
-    time_limit is in seconds; None or inf sets no limit.
+    Scores two greedy selections first (all minimum-area shapes; per-module
+    least normalized half-perimeter); the better one's key is the floor
+    that every sweep prunes against, and the incumbent a timeout returns
+    when the search has not reached the floor yet.  Then it builds each
+    layer's and each region's points and searches the region points, as
+    the module docstring sets out.  Each step bounds its nodes with the
+    same block longest path: the chip caps, and the budget X + Y <=
+    W + H - floor objective, with every region not yet fixed at its least
+    size.  The result is the best (objective, -total area) and, among
+    selections that reach it, the lexicographically first in model order;
+    every incumbent fits the chip.  Deterministic for a fixed model.
+    time_limit is in seconds; None or inf sets no limit.  The deadline is
+    checked at every node, after the seeds.
     """
     if time_limit is not None and not time_limit >= 0:
         raise ValueError("time_limit must be >= 0")
-    return _Search(model, time_limit).run()
+    return _Frontiers(model, time_limit).run()
 
 
 # ----------------------------------------------------------------------

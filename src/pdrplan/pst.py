@@ -126,6 +126,24 @@ def validate(pst: PST, g: TaskGraph) -> list:
         missing = sorted(nonempty - rs_set)
         violations.append(f"layers missing from rs: {missing}")
 
+    violations += block_violations(pst)
+
+    if rs_set == nonempty and len(rs_set) == len(pst.rs):
+        rs_index = {key: i for i, key in enumerate(pst.rs)}
+        for e in g.edges:
+            if e.src in pst.partition and e.dst in pst.partition:
+                if rs_index[pst.partition[e.src]] > rs_index[pst.partition[e.dst]]:
+                    violations.append(
+                        f"dependency order: {e.src} -> {e.dst} but layer "
+                        f"{pst.partition[e.src]} is configured after "
+                        f"{pst.partition[e.dst]}")
+    return violations
+
+
+def block_violations(pst: PST) -> list:
+    """The region and layer blocks that are not contiguous in ps or qs,
+    as violation messages; the partition must cover ps and qs."""
+    violations = []
     for name, seq in (("ps", pst.ps), ("qs", pst.qs)):
         spans: dict = {}
         for i, m in enumerate(seq):
@@ -140,16 +158,6 @@ def validate(pst: PST, g: TaskGraph) -> list:
         for (kind, ident), (first, last, count) in spans.items():
             if last - first + 1 != count:
                 violations.append(f"{kind} {ident} not contiguous in {name}")
-
-    if rs_set == nonempty and len(rs_set) == len(pst.rs):
-        rs_index = {key: i for i, key in enumerate(pst.rs)}
-        for e in g.edges:
-            if e.src in pst.partition and e.dst in pst.partition:
-                if rs_index[pst.partition[e.src]] > rs_index[pst.partition[e.dst]]:
-                    violations.append(
-                        f"dependency order: {e.src} -> {e.dst} but layer "
-                        f"{pst.partition[e.src]} is configured after "
-                        f"{pst.partition[e.dst]}")
     return violations
 
 

@@ -149,10 +149,12 @@ def postoptimize(sol: Solution, model, lists: dict, g: TaskGraph,
     """Repair a boundary-violating solution by shape reselection.
 
     model is build_model(sol.pst, lists, chip).  Returns (solution,
-    result): the solution re-packed under the selection whenever the search
-    returns one, the input otherwise.  Every incumbent the search records
-    fits the chip, so a timeout's incumbent repairs the solution too, if
-    not always with the largest slack.
+    result): the solution re-packed under the selection whenever solve
+    returns one, the input otherwise.  solve searches layer and region
+    shape curves exactly, so within time_limit the selection has the
+    largest slack.  Every incumbent it holds fits the chip, so a timeout's
+    incumbent (at worst the better of its two greedy seeds) repairs the
+    solution too, if not always with the largest slack.
     """
     res = solve(model, time_limit)
     if res.selection is not None:

@@ -1,8 +1,8 @@
 """Shared builders and reference oracles for PST-level tests: small graphs,
 random valid PSTs, the exhaustive shape-reselection oracles, and plain
 reference versions of packing, scheduling, insertion points, rough scoring
-and its extents, chip window counts, shape generation and branch-and-bound
-pruning that the optimised code in src/ must agree with."""
+and its extents, chip window counts and shape generation that the
+optimised code in src/ must agree with."""
 
 import itertools
 import random
@@ -11,7 +11,6 @@ from pdrplan.chip import ChipModel, Rect, ResourceVector
 from pdrplan.delta import PlanState
 from pdrplan.errors import InfeasibleModuleError
 from pdrplan.explore import Candidate, apply_candidate
-from pdrplan.ilp import _Search
 from pdrplan.pst import (PST, Placement, ScheduleResult, block_offsets, pack,
                          schedule)
 from pdrplan.shapes import (Shape, ShapeList, aspect_ratio, initial_width,
@@ -175,6 +174,21 @@ def brute_force_best_key(pst, lists, chip):
     return best
 
 
+def brute_force_first_best(pst, lists, chip):
+    """The sweep of brute_force_best_key, also keeping the selection
+    (module id -> shape index) that first reaches the best key: (key,
+    selection), or (None, None)."""
+    ids = list(pst.ps)
+    best = first = None
+    for combo in itertools.product(*(range(len(lists[m].shapes))
+                                     for m in ids)):
+        key = selection_key(pst, {m: lists[m].shapes[j]
+                                  for m, j in zip(ids, combo)}, chip)
+        if key is not None and (best is None or key > best):
+            best, first = key, dict(zip(ids, combo))
+    return best, first
+
+
 def brute_force_best_objective(pst, lists, chip):
     """The objective of brute_force_best_key, or None."""
     key = brute_force_best_key(pst, lists, chip)
@@ -204,44 +218,6 @@ def stacked_repair_instance(seed):
     shapes = {m: next(s for s in lists[m].shapes if s.h == tall_h)
               for m in ids}
     return g, pst, lists, shapes
-
-
-class _ReferenceSearch(_Search):
-    """The branch and bound over the full relations with the plain bound:
-    every sequence-pair relation is a longest-path edge, each node's
-    minima are rebuilt from its shapes, and a node is pruned when those
-    longest paths leave the chip or cannot beat the incumbent's
-    (objective, -area lower bound)."""
-
-    def __init__(self, model, time_limit):
-        super().__init__(model, time_limit)
-        idx = {m: i for i, m in enumerate(self.modules)}
-        self.h_preds, self.h_succs, self.v_preds, self.v_succs = (
-            [[] for _ in idx] for _ in range(4))
-        for pairs, preds, succs in ((model.h_pairs, self.h_preds, self.h_succs),
-                                    (model.v_pairs, self.v_preds, self.v_succs)):
-            for a, b in pairs:
-                preds[idx[b]].append(idx[a])
-                succs[idx[a]].append(idx[b])
-
-    def _can_improve(self, allowed, paths, amin):
-        wmin, hmin, _ = self._minima(allowed)
-        (xext, *_), (yext, *_) = self._paths(wmin, hmin)
-        if xext > self.width or yext > self.height:
-            return None
-        area_lb = sum(min(w * h for w, h in (self.dims[i][j] for j in a))
-                      for i, a in enumerate(allowed))
-        key = ((self.width - xext) + (self.height - yext), -area_lb)
-        return key if self.best_key is None or key > self.best_key else None
-
-
-def reference_solve(model, time_limit=None):
-    """Reference solve: the same branching order, seeds and leaves as
-    pdrplan.ilp.solve, but over the full relations and with the plain
-    bound, which expands every subtree that still fits the chip and whose
-    plain bound beats the incumbent.  solve must return the same status,
-    objective and selection."""
-    return _ReferenceSearch(model, time_limit).run()
 
 
 def exact_rough_evaluate(ev, cand):

@@ -148,7 +148,7 @@ class TestExploreAndFriends:
                 "--solution", str(POSTOPT / "t10-2-s0.solution")]
         code, out, _ = run_cli(args, capsys)
         assert code == 0
-        assert out.splitlines() == ["optimal objective=101.0", "nodes=11"]
+        assert out.splitlines() == ["optimal objective=101.0", "nodes=130"]
         assert run_cli(args, capsys)[1] == out  # no wall time in stdout
 
     def test_run_pipeline_summary(self, graph_file, tmp_path, capsys):

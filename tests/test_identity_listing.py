@@ -17,7 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-LISTING = "76c6d07ba3a918ebfe7f0850a71e7381bed7bed521951f9518e37458ab9c56ec"
+LISTING = "e0dbc3fa72b852ca5ea196b34ffbd94db89b1f9d40566811aae4cce009f347b8"
 
 
 def test_identity_listing_is_pinned():

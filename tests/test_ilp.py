@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from pathlib import Path
 
@@ -46,11 +47,11 @@ def instance_model(name, chip):
 # made of it with SAConfig(seed=0, iterations_per_temperature=2,
 # initial_temperature=5.0, min_temperature=0.05), after prepare_instance
 # with ShapeGenConfig() and configuration rate 0.001.  Runs that short
-# leave one or two crowded regions, whose reselection programs are hard
-# for the branch and bound.  They are files so that these tests do not
-# move with the annealer.
-CROWDED_TIMEOUTS = ("crowded-t30-1-s1", "crowded-t30-2-s3",
-                    "crowded-t50-1-s0", "crowded-t50-1-s1")
+# leave one or two crowded regions.  They are files so that these tests
+# do not move with the annealer.  CROWDED are the four whose programs a
+# module-level branch and bound does not close in 20 s.
+CROWDED = ("crowded-t30-1-s1", "crowded-t30-2-s3", "crowded-t50-1-s0",
+           "crowded-t50-1-s1")
 
 
 def toy_chip(width=40, height=60):
@@ -69,6 +70,27 @@ def random_lists(rng, ids, max_shapes=4, wmax=20, hmax=40):
         ordered = sorted(shapes, key=lambda s: (s.area, s.w))
         lists[m] = ShapeList(m, tuple(ordered))
     return lists
+
+
+def long_layer_instance():
+    """(graph, PST, shape lists): one layer of 30 modules in a random
+    sequence pair, each with up to six random shapes of 2-12 by 5-20.
+    Both seeds fit the built-in chip, and the layer's sweep does not end
+    within 20 s, so a short solve stops at its deadline."""
+    rng = random.Random(0)
+    g = make_graph(30)
+    ids = list(g.module_ids)
+    ps, qs = ids[:], ids[:]
+    rng.shuffle(ps)
+    rng.shuffle(qs)
+    pst = PST(ps=ps, qs=qs, rs=[(0, 0)], partition={m: (0, 0) for m in ids})
+    lists = {}
+    for m in ids:
+        shapes = {Shape(rng.randint(2, 12), 5 * rng.randint(1, 4))
+                  for _ in range(6)}
+        lists[m] = ShapeList(m, tuple(sorted(shapes,
+                                             key=lambda s: (s.area, s.w))))
+    return g, pst, lists
 
 
 def constraint_names(model):
@@ -103,6 +125,21 @@ class TestBuildModel:
         assert model.h_pairs == (("m1", "m2"),)
         assert "hpos_1_2" in constraint_names(model)
 
+    @pytest.mark.parametrize("second, third, message", [
+        ((0, 1), (0, 0), "layer (0, 0) not contiguous in ps"),
+        ((1, 0), (0, 1), "region 0 not contiguous in ps"),
+    ], ids=["layer", "region"])
+    def test_non_contiguous_block_rejected(self, second, third, message,
+                                           chip):
+        """The solver works on layer and region blocks, so a PST whose
+        ps splits one (m2 between m1 and m3) is refused, naming it."""
+        part = {"m1": (0, 0), "m2": second, "m3": third}
+        pst = PST(ps=["m1", "m2", "m3"], qs=["m1", "m3", "m2"],
+                  rs=sorted(set(part.values())), partition=part)
+        lists = {m: ShapeList(m, (Shape(4, 5),)) for m in part}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_model(pst, lists, chip)
+
     def test_empty_shape_list_rejected(self, chip):
         pst = single_layer_pst(["m1"])
         with pytest.raises((ValueError, KeyError)):
@@ -129,6 +166,15 @@ class TestSolve:
         assert res.objective == 483.0
         assert res.selection == {"m1": 0}
 
+    def test_ties_go_to_the_first_selection(self):
+        """5x10 and 10x5 tie on objective and area, so the search keeps
+        the first shape, as the exhaustive sweep does."""
+        pst = single_layer_pst(["m1"])
+        lists = {"m1": ShapeList("m1", (Shape(5, 10), Shape(10, 5)))}
+        res = solve(build_model(pst, lists, toy_chip()))
+        assert (res.status, res.objective, res.selection) == (
+            "optimal", 85.0, {"m1": 0})
+
     def test_infeasible_when_everything_overflows(self):
         toy = toy_chip(width=10, height=20)
         pst = single_layer_pst(["m1", "m2"])
@@ -141,10 +187,11 @@ class TestSolve:
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_tails_prune_the_root_of_a_chain(self, axis):
         """Three modules in a row (or a column) on a side 40 long: m1's
-        long shape (25) plus the two modules after it (10 each) overruns
-        the side, so the root drops that shape, and the bound left is the
-        balanced seed's own key.  The search stops at the root; a tail
-        that missed the last module would keep the long shape and branch.
+        long shape (25) plus the least path after it (10 + 10) overruns
+        the side, so the layer's sweep never visits that shape.  That
+        leaves 7 nodes: the sweep's root and one node per module, one
+        merge node, and the region search's root and leaf.  A tail that
+        missed the last module would visit the long shape too.
         """
         long, short, unit = (25, 5), (15, 10), (10, 5)
         if axis == "x":
@@ -160,7 +207,7 @@ class TestSolve:
                  "m2": ShapeList("m2", (Shape(*unit),)),
                  "m3": ShapeList("m3", (Shape(*unit),))}
         res = solve(build_model(pst, lists, toy))
-        assert (res.status, res.objective, res.nodes) == ("optimal", 55.0, 1)
+        assert (res.status, res.objective, res.nodes) == ("optimal", 55.0, 7)
         assert res.selection == {"m1": 1, "m2": 0, "m3": 0}
 
     def test_matches_brute_force_on_random_instances(self):
@@ -199,22 +246,28 @@ class TestSolve:
             assert got == want
 
     def test_deadline_honoured_on_crowded_instance(self, chip):
-        model = instance_model("crowded-t30-2-s3", chip)
+        _, pst, lists = long_layer_instance()
+        model = build_model(pst, lists, chip)
         started = time.monotonic()
         res = solve(model, 1.0)
         assert time.monotonic() - started <= 1.5
         assert res.status == "timeout"
         assert res.selection is not None and res.objective is not None
 
-    @pytest.mark.parametrize("name", CROWDED_TIMEOUTS)
+    @pytest.mark.parametrize("name", CROWDED + ("long-layer",))
     def test_crowded_timeout_incumbent_fits(self, name, chip):
-        """On the crowded instances that time out, the incumbent after a
-        short search re-packs inside the chip."""
-        g, lists, sol = load_instance(DATA / name, chip)
-        res = solve(build_model(sol.pst, lists, chip), 1.0)
+        """The selection of a search cut at 1 s re-packs inside the chip:
+        the optimum on the crowded plans, the timeout incumbent on the
+        long layer."""
+        if name == "long-layer":
+            g, pst, lists = long_layer_instance()
+        else:
+            g, lists, sol = load_instance(DATA / name, chip)
+            pst = sol.pst
+        res = solve(build_model(pst, lists, chip), 1.0)
         assert res.selection is not None
         w = CostWeights().resolve(g, chip)
-        assert apply(sol.pst, res.selection, lists, g, chip, w).feasible
+        assert apply(pst, res.selection, lists, g, chip, w).feasible
 
     def test_timeout_reports_incumbent(self, chip):
         rng = random.Random(5)
@@ -245,26 +298,32 @@ class TestSolve:
 
 
 class TestPinnedSearch:
-    """The branch and bound on the benchmark's overflowing solutions and
-    on a crowded annealing result.
+    """The solver on the benchmark's overflowing solutions and on five
+    crowded annealing results.
 
-    Node counts follow from the branching order, the shape order and the
-    bounds, so a change to any of them shows here even when the optimum
-    stays the same.  The selection is pinned as the modules that do not
-    take their first (minimum-area) shape.
+    Node counts follow from the sweep orders and the bounds, so a change
+    to either shows here even when the optimum stays the same.  The
+    selection is pinned as the modules that do not take their first
+    (minimum-area) shape.
     """
 
     PINNED = {
-        "t10-1-s1": (87.0, 698,
+        "t10-1-s1": (87.0, 1187,
                      {"m3": 4, "m5": 7, "m6": 1, "m7": 4, "m10": 7}),
-        "t10-2-s0": (101.0, 11, {}),
-        "t10-3-s0": (30.0, 1, {}),
-        "t30-1-s0": (85.0, 9, {}),
-        "t30-2-s0": (30.0, 2828, {"m7": 1, "m21": 2, "m28": 1}),
-        "t30-3-s0": (100.0, 11, {}),
-        "t50-1-s0": (100.0, 10, {}),
-        "t50-3-s5": (0.0, 3033, {"m34": 1, "m36": 2}),
-        "crowded-t30-1-s0": (171.0, 2830, {"m26": 1}),
+        "t10-2-s0": (101.0, 130, {}),
+        "t10-3-s0": (30.0, 40, {}),
+        "t30-1-s0": (85.0, 450, {}),
+        "t30-2-s0": (30.0, 337, {"m7": 1, "m21": 2, "m28": 1}),
+        "t30-3-s0": (100.0, 475, {}),
+        "t50-1-s0": (100.0, 350, {}),
+        "t50-3-s5": (0.0, 200, {"m34": 1, "m36": 2}),
+        "crowded-t30-1-s0": (171.0, 657, {"m26": 1}),
+        "crowded-t30-1-s1": (176.0, 2989, {"m6": 1, "m19": 1, "m20": 1}),
+        "crowded-t30-2-s3": (130.0, 1663, {"m15": 2, "m16": 1, "m17": 1,
+                                           "m29": 5, "m30": 7}),
+        "crowded-t50-1-s0": (200.0, 4812, {"m49": 1}),
+        "crowded-t50-1-s1": (148.0, 4172, {"m12": 1, "m14": 1, "m33": 1,
+                                           "m50": 1}),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -501,8 +560,9 @@ class TestExportLP:
     @pytest.mark.parametrize("name", sorted(TestPinnedSearch.PINNED))
     def test_optimum_equals_highs(self, name, chip):
         """The bundled solver proves the HiGHS optimum within 20 s on the
-        benchmark's post-opt instances and on a crowded annealing result
-        (HiGHS optimum 171) that the plain bound does not close in 20 s."""
+        benchmark's post-opt instances and on the crowded annealing
+        results, four of which a module-level branch and bound left at
+        timeout after 20 s."""
         pytest.importorskip("scipy")
         model = instance_model(name, chip)
         res = solve(model, 20)

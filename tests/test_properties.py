@@ -1,8 +1,9 @@
 """Property tests: the text formats round-trip, schedules respect their
 lower bounds, the optimised packing, schedule, rough scoring and its
-extents, chip window counts and branch-and-bound pruning agree with the
-plain reference versions in helpers.py, and the rough extents of a fresh
-layer or region equal those of a full pack."""
+extents and chip window counts agree with the plain reference versions
+in helpers.py, shape reselection agrees with the exhaustive sweep, and
+the rough extents of a fresh layer or region equal those of a full
+pack."""
 
 import functools
 import random
@@ -10,14 +11,15 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (TOY_CHIP, _ReferenceSearch, layered_pst, make_graph,
-                     module_level_pack, per_candidate_rough, plan_state,
-                     random_pst, reference_approx_extents, reference_schedule,
-                     reference_solve, scan_min_column_counts)
+from helpers import (TOY_CHIP, brute_force_first_best, layered_pst,
+                     make_graph, module_level_pack, per_candidate_rough,
+                     plan_state, random_pst, reference_approx_extents,
+                     reference_schedule, scan_min_column_counts,
+                     selection_key)
 from pdrplan.chip import ChipModel, ResourceVector, builtin_xc7vx485t, load_chip
 from pdrplan.explore import (RoughEvaluator, apply_candidate,
                              enumerate_insertions, initial_solution)
-from pdrplan.ilp import _Search, build_model, solve
+from pdrplan.ilp import build_model, solve
 from pdrplan.pst import CostWeights, evaluate, pack, schedule
 from pdrplan.report import prepare_instance
 from pdrplan.shapes import Shape, ShapeGenConfig, ShapeList
@@ -122,57 +124,39 @@ def test_layered_pack_equals_module_level_pack(n, regions, layers, seed):
 
 
 @FAST
-@given(st.integers(1, 6), st.integers(1, 4), st.booleans(),
+@given(st.integers(1, 6), st.integers(1, 4), st.sampled_from(["chip", "toy",
+                                                              "ties"]),
        st.integers(0, 2**32 - 1))
-def test_solve_equals_reference_solve(n, max_shapes, toy, seed):
-    """Filtering shapes against the incumbent's extent budget changes only
-    the node count: status, objective and selection stay those of the
-    plain bound over the full relations."""
+def test_solve_equals_first_best(n, max_shapes, kind, seed):
+    """solve returns the status, objective and key of the exhaustive sweep
+    over itertools.product, and the selection that sweep meets first
+    among those of the best key.  The "ties" shapes come from a few sizes
+    of equal areas (2x20, 4x10, 8x5), so that many selections tie."""
     rng = random.Random(seed)
-    chip = TOY_CHIP if toy else CHIP
+    chip = CHIP if kind == "chip" else TOY_CHIP
     ids = [f"m{i}" for i in range(n)]
     pst = random_pst(rng, ids)
     lists = {}
     for m in ids:
-        shapes = {Shape(rng.randint(1, chip.width // 2),
-                        5 * rng.randint(1, chip.height // 10))
-                  for _ in range(rng.randint(1, max_shapes))}
+        if kind == "ties":
+            shapes = {Shape(rng.choice((2, 4, 8)), 5 * rng.choice((1, 2, 4)))
+                      for _ in range(rng.randint(1, max_shapes))}
+        else:
+            shapes = {Shape(rng.randint(1, chip.width // 2),
+                            5 * rng.randint(1, chip.height // 10))
+                      for _ in range(rng.randint(1, max_shapes))}
         lists[m] = ShapeList(m, tuple(sorted(shapes,
                                              key=lambda s: (s.area, s.w))))
-    model = build_model(pst, lists, chip)
-    got, want = solve(model), reference_solve(model)
+    got = solve(build_model(pst, lists, chip))
+    key, first = brute_force_first_best(pst, lists, chip)
+    if key is None:
+        assert (got.status, got.selection, got.objective) == (
+            "infeasible", None, None)
+        return
     assert (got.status, got.objective, got.selection) == (
-        want.status, want.objective, want.selection)
-    assert got.nodes <= want.nodes
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 9), st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_reduced_relations_keep_longest_paths(n, max_size, seed):
-    """With every size >= 1, the transitively reduced relation lists of
-    the search give the heads, the tails and, from every module, the
-    critical path of the full lists.  Small sizes make ties, so a
-    reordered list would pick another tight predecessor."""
-    rng = random.Random(seed)
-    ids = [f"m{i}" for i in range(n)]
-    pst = random_pst(rng, ids)
-    lists = {m: ShapeList(m, (Shape(1, 5),)) for m in ids}
-    model = build_model(pst, lists, CHIP)
-    reduced = _Search(model, None)
-    full = _ReferenceSearch(model, None)
-    for axis, order in (("h", reduced.h_order), ("v", reduced.v_order)):
-        size = [rng.randint(1, max_size) for _ in ids]
-
-        def longest_paths(search):
-            preds = getattr(search, f"{axis}_preds")
-            succs = getattr(search, f"{axis}_succs")
-            head = search._longest(order, preds, size)
-            tail = search._longest(order[::-1], succs, size)
-            critical = [search._critical_modules(i, preds, head, size)
-                        for i in range(n)]
-            return head, tail, critical
-
-        assert longest_paths(reduced) == longest_paths(full)
+        "optimal", float(key[0]), first)
+    assert selection_key(pst, {m: lists[m].shapes[j]
+                               for m, j in got.selection.items()}, chip) == key
 
 
 @functools.lru_cache(maxsize=None)
